@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use crate::approx::ApproxRule;
 use crate::cache::FingerprintCache;
 use crate::error::{Error, Result};
+use crate::exec::lattice::{self, LatticeMemo, SelectionLattice};
 use crate::exec::{execute_with, ExecEngine, ExecTable, QueryResult};
 use crate::fingerprint::{predicate_fingerprint, query_fingerprint, rewrite_fingerprint};
 use crate::hints::{enumerate_hint_sets, RewriteOption};
@@ -117,6 +118,9 @@ pub struct Database {
     planner: Planner,
     time_cache: FingerprintCache,
     selectivity_cache: FingerprintCache,
+    /// Selection lattices of the most recently priced queries, from which
+    /// exact dry runs (and the runs that follow them) are derived.
+    lattices: LatticeMemo,
     /// Catalog generation: bumped by every mutation that can change execution times
     /// or cached decisions (`register_table`, `build_index`, `build_sample`), so
     /// layers above (e.g. the serving layer's decision cache) can detect staleness.
@@ -124,7 +128,7 @@ pub struct Database {
 }
 
 // The serving layer shares one `Arc<Database>` across worker threads; keep that
-// contract visible at compile time (tables and planner are plain data, the two
+// contract visible at compile time (tables and planner are plain data, the
 // caches synchronise internally).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -141,6 +145,7 @@ impl Database {
             planner,
             time_cache: FingerprintCache::new(),
             selectivity_cache: FingerprintCache::new(),
+            lattices: LatticeMemo::default(),
             generation: 0,
         }
     }
@@ -153,13 +158,12 @@ impl Database {
     }
 
     /// Invalidation hook shared by every catalog mutation: bump the generation and
-    /// drop both fingerprint caches, whose entries were computed against the old
-    /// catalog (a new index changes execution times, a new sample changes
-    /// approximate rewrites, a re-registered table changes everything).
+    /// drop every cache, whose entries were computed against the old catalog (a
+    /// new index changes execution times, a new sample changes approximate
+    /// rewrites, a re-registered table changes everything).
     fn invalidate(&mut self) {
         self.generation += 1;
-        self.time_cache.clear();
-        self.selectivity_cache.clear();
+        self.clear_caches();
     }
 
     /// The database configuration.
@@ -390,30 +394,9 @@ impl Database {
             if rows == 0 {
                 return Ok(0.0);
             }
-            let attr = pred.attr();
-            let count = match pred {
-                Predicate::KeywordContains { keyword, .. } => match entry.inverted.get(&attr) {
-                    Some(index) => match entry.table.dictionary().lookup(keyword) {
-                        Some(token) => index.count(token),
-                        None => 0,
-                    },
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::TimeRange { range, .. } => match entry.btree.get(&attr) {
-                    Some(index) => index.range_count(range.start, range.end),
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::NumericRange { range, .. } => match entry.btree.get(&attr) {
-                    Some(index) => index.range_count(
-                        BPlusTree::float_key(range.lo),
-                        BPlusTree::float_key(range.hi),
-                    ),
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::SpatialRange { rect, .. } => match entry.rtree.get(&attr) {
-                    Some(index) => index.range_count(rect),
-                    None => self.scan_count(entry, pred)?,
-                },
+            let count = match lattice::index_count(pred, &entry.exec_table()) {
+                Some(count) => count,
+                None => self.scan_count(entry, pred)?,
             };
             Ok(count as f64 / rows as f64)
         })
@@ -478,82 +461,120 @@ impl Database {
     }
 
     /// Runs the rewritten query and returns its materialised result, plan, operation
-    /// counts and simulated execution time.
+    /// counts and simulated execution time. Right after the query was priced
+    /// (see [`Database::execution_time_ms`]) an exact option is served from the
+    /// query's selection lattice instead of executing the plan; the outcome is
+    /// identical either way.
     pub fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, self.default_engine())
+        let query_fp = query_fingerprint(query);
+        let lattice = self.lattices.get(query, query_fp);
+        self.run_inner(
+            query,
+            query_fp,
+            ro,
+            true,
+            self.default_engine(),
+            lattice.as_deref(),
+        )
     }
 
-    /// [`Database::run`] with an explicit execution engine — the interpreter,
-    /// the compiled id-vector engine and the compiled bitmap engine are
-    /// observationally identical (same results, same work profile, same
-    /// simulated time); the knob exists for equivalence tests and the `exec`
-    /// benchmark that measures the wall-clock gaps.
+    /// [`Database::run`] with an explicit execution engine, which always
+    /// executes the plan — the interpreter, the compiled id-vector engine and
+    /// the compiled bitmap engine are observationally identical (same results,
+    /// same work profile, same simulated time); the knob exists for
+    /// equivalence tests and the `exec` benchmark that measures the wall-clock
+    /// gaps.
     pub fn run_with_engine(
         &self,
         query: &Query,
         ro: &RewriteOption,
         engine: ExecEngine,
     ) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, engine)
+        self.run_inner(query, query_fingerprint(query), ro, true, engine, None)
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
     /// results. Times are cached per (query, rewrite option); concurrent callers of
-    /// the same key all observe the canonical (first-cached) value.
+    /// the same key all observe the canonical (first-cached) value. Exact options
+    /// are priced from the query's selection lattice (built here on first use)
+    /// rather than by a dry run of the plan.
     pub fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-        let key = (query_fingerprint(query), rewrite_fingerprint(ro));
+        let query_fp = query_fingerprint(query);
+        let key = (query_fp, rewrite_fingerprint(ro));
         if let Some(cached) = self.time_cache.get(key) {
             return Ok(cached);
         }
+        let fact = self.entry(&query.table)?;
+        let lattice = self
+            .lattices
+            .get_or_build(query, query_fp, &fact.exec_table())?;
         // `run_inner` performs the canonical insert itself (first insert wins and
         // the returned outcome carries the canonical time), so no second insert —
         // and no second key hash — is needed here.
         Ok(self
-            .run_inner(query, ro, false, self.default_engine())?
+            .run_inner(
+                query,
+                query_fp,
+                ro,
+                false,
+                self.default_engine(),
+                lattice.as_deref(),
+            )?
             .time_ms)
     }
 
+    /// Plans and runs (or, for exact options with a `lattice`, derives) one
+    /// rewritten query; `query_fp` is `query`'s fingerprint.
     fn run_inner(
         &self,
         query: &Query,
+        query_fp: u64,
         ro: &RewriteOption,
         materialize: bool,
         engine: ExecEngine,
+        lattice: Option<&SelectionLattice>,
     ) -> Result<RunOutcome> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
         let plan = self.plan(query, ro)?;
 
-        // Size the LIMIT approximation from the engine's estimated cardinality, as in
-        // the paper ("a LIMIT clause with x% of the estimated cardinality").
-        let limit_rows = match ro.approx {
-            Some(rule @ ApproxRule::LimitPermille { .. }) => {
-                let est = self.estimated_cardinality(query)?;
-                let kept = rule.kept_fraction();
-                Some(((est * kept).ceil() as usize).max(1))
+        let outcome = match lattice {
+            Some(lattice) if SelectionLattice::derives(&plan, ro) => {
+                lattice.execute(&plan, &fact.exec_table(), materialize)?
             }
-            _ => query.limit,
+            _ => {
+                // Size the LIMIT approximation from the engine's estimated
+                // cardinality, as in the paper ("a LIMIT clause with x% of the
+                // estimated cardinality").
+                let limit_rows = match ro.approx {
+                    Some(rule @ ApproxRule::LimitPermille { .. }) => {
+                        let est = self.estimated_cardinality(query)?;
+                        let kept = rule.kept_fraction();
+                        Some(((est * kept).ceil() as usize).max(1))
+                    }
+                    _ => query.limit,
+                };
+                let dim_exec = dim.map(|d| d.exec_table());
+                execute_with(
+                    query,
+                    &plan,
+                    &fact.exec_table(),
+                    dim_exec.as_ref(),
+                    limit_rows,
+                    materialize,
+                    engine,
+                )?
+            }
         };
 
-        let dim_exec = dim.map(|d| d.exec_table());
-        let outcome = execute_with(
-            query,
-            &plan,
-            &fact.exec_table(),
-            dim_exec.as_ref(),
-            limit_rows,
-            materialize,
-            engine,
-        )?;
-
         let base_ms = execution_time_ms(&outcome.work, &self.config.cost_params);
-        let fp = query_fingerprint(query) ^ plan.signature() ^ self.config.seed;
+        let fp = query_fp ^ plan.signature() ^ self.config.seed;
         let time_ms =
             apply_profile_noise(base_ms, self.config.profile, &self.config.cost_params, fp);
 
         // Keep whichever value was cached first so racing workers report one
         // canonical time (the computation is deterministic, so they agree anyway).
-        let key = (query_fingerprint(query), rewrite_fingerprint(ro));
+        let key = (query_fp, rewrite_fingerprint(ro));
         let time_ms = self.time_cache.insert_canonical(key, time_ms);
 
         Ok(RunOutcome {
@@ -587,12 +608,19 @@ impl Database {
         render_sql(query, ro, schema, join_schema)
     }
 
-    /// Clears the execution-time and selectivity caches (useful between experiments
-    /// that mutate cost parameters, and between throughput runs that must each do
-    /// the same amount of work).
+    /// Clears the execution-time and selectivity caches and the selection-lattice
+    /// memo (useful between experiments that mutate cost parameters, and between
+    /// throughput runs that must each do the same amount of work).
     pub fn clear_caches(&self) {
         self.time_cache.clear();
         self.selectivity_cache.clear();
+        self.lattices.clear();
+    }
+
+    /// Number of queries whose selection lattices are memoised (at most
+    /// [`lattice::MEMO_CAPACITY`]).
+    pub fn memoized_lattices(&self) -> usize {
+        self.lattices.len()
     }
 
     /// Number of entries in the (execution-time, selectivity) caches, for

@@ -133,6 +133,7 @@ pub fn execute_with(
     materialize: bool,
     engine: ExecEngine,
 ) -> Result<ExecOutcome> {
+    validate_output(query)?;
     let mut work = WorkProfile::default();
 
     // Normalise the parallel engine: `ParallelBitmap` *is* the compiled bitmap
@@ -610,6 +611,17 @@ pub fn execute_with(
     })
 }
 
+/// Rejects output shapes no row can be binned into (see [`BinGrid::validate`])
+/// before any work is done. Every execution path — the engines here and the
+/// selection lattice ([`crate::exec::lattice`]) — checks through this one
+/// function, so they fail with the same error.
+pub(crate) fn validate_output(query: &Query) -> Result<()> {
+    match &query.output {
+        OutputKind::BinnedCounts { grid, .. } => grid.validate(),
+        OutputKind::Points { .. } | OutputKind::Count => Ok(()),
+    }
+}
+
 /// Lowers the residual predicate list for the compiled engine; `None` routes to
 /// the interpreter (either by request or because a predicate failed to bind its
 /// column, e.g. a type mismatch the interpreter must surface per row).
@@ -785,7 +797,7 @@ fn index_candidates_bitmap(
 
 /// Bitmap-engine twin of [`scan_index`]: same index lookups, same error and
 /// [`WorkProfile`] behaviour, bitmap output.
-fn scan_index_bitmap(
+pub(crate) fn scan_index_bitmap(
     pred: &Predicate,
     fact: &ExecTable<'_>,
     work: &mut WorkProfile,

@@ -11,6 +11,7 @@
 
 pub mod compiled;
 mod executor;
+pub mod lattice;
 pub mod parallel;
 mod result;
 

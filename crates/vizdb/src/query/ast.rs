@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::{Error, Result};
 use crate::types::{GeoRect, NumRange, TimeRange, Timestamp};
 
 /// One conjunctive filtering condition over a single attribute of the base table.
@@ -115,14 +116,41 @@ impl BinGrid {
         Self { extent, cols, rows }
     }
 
+    /// Largest number of cells a grid may have: bin ids are `u32`.
+    pub const MAX_CELLS: u64 = 1 << 32;
+
     /// Total number of cells.
     pub fn cell_count(&self) -> usize {
-        (self.cols as usize) * (self.rows as usize)
+        (self.cols as usize).saturating_mul(self.rows as usize)
     }
 
-    /// Bin id of a point, or `None` when the point falls outside the extent.
+    /// Checks that every cell has a `u32` bin id: both dimensions non-zero
+    /// and at most [`BinGrid::MAX_CELLS`] cells. Execution calls this before
+    /// binning any row.
+    pub fn validate(&self) -> Result<()> {
+        if self.cols == 0 || self.rows == 0 {
+            return Err(Error::InvalidQuery(format!(
+                "bin grid {}x{} has no cells",
+                self.cols, self.rows
+            )));
+        }
+        if u64::from(self.cols) * u64::from(self.rows) > Self::MAX_CELLS {
+            return Err(Error::InvalidQuery(format!(
+                "bin grid {}x{} exceeds {} cells",
+                self.cols,
+                self.rows,
+                Self::MAX_CELLS
+            )));
+        }
+        Ok(())
+    }
+
+    /// Bin id of a point, or `None` when the point falls outside the extent
+    /// or the grid has no cells. Total: an invalid grid (see
+    /// [`BinGrid::validate`]) yields `None`, never an underflowed or wrapped
+    /// id.
     pub fn bin_of(&self, lon: f64, lat: f64) -> Option<u32> {
-        if self.extent.is_empty() {
+        if self.extent.is_empty() || self.cols == 0 || self.rows == 0 {
             return None;
         }
         if lon < self.extent.min_lon
@@ -136,7 +164,7 @@ impl BinGrid {
         let fy = (lat - self.extent.min_lat) / self.extent.height().max(f64::EPSILON);
         let col = ((fx * self.cols as f64) as u32).min(self.cols - 1);
         let row = ((fy * self.rows as f64) as u32).min(self.rows - 1);
-        Some(row * self.cols + col)
+        u32::try_from(u64::from(row) * u64::from(self.cols) + u64::from(col)).ok()
     }
 }
 
@@ -284,6 +312,34 @@ mod tests {
     fn bin_grid_edges_clamp_to_last_cell() {
         let grid = BinGrid::new(GeoRect::new(0.0, 0.0, 10.0, 10.0), 4, 4);
         assert_eq!(grid.bin_of(10.0, 10.0), Some(15));
+    }
+
+    #[test]
+    fn degenerate_grids_bin_nothing_and_fail_validation() {
+        let extent = GeoRect::new(0.0, 0.0, 10.0, 10.0);
+        for (cols, rows) in [(0, 4), (4, 0), (0, 0)] {
+            let grid = BinGrid::new(extent, cols, rows);
+            assert_eq!(grid.bin_of(5.0, 5.0), None, "{cols}x{rows}");
+            assert_eq!(grid.bin_of(10.0, 10.0), None, "{cols}x{rows}");
+            assert!(matches!(grid.validate(), Err(Error::InvalidQuery(_))));
+        }
+        assert!(BinGrid::new(extent, 4, 4).validate().is_ok());
+    }
+
+    #[test]
+    fn huge_grids_never_alias_bin_ids() {
+        let extent = GeoRect::new(0.0, 0.0, 10.0, 10.0);
+        // 100000 x 100000 cells: `row * cols` overflows u32.
+        let grid = BinGrid::new(extent, 100_000, 100_000);
+        assert!(matches!(grid.validate(), Err(Error::InvalidQuery(_))));
+        assert_eq!(grid.bin_of(0.0, 0.0), Some(0));
+        assert_eq!(grid.bin_of(10.0, 10.0), None, "id past u32::MAX");
+        // Exactly 2^32 cells is the largest valid grid; its last id fits.
+        let widest = BinGrid::new(extent, 1 << 16, 1 << 16);
+        assert!(widest.validate().is_ok());
+        assert_eq!(widest.bin_of(10.0, 10.0), Some(u32::MAX));
+        let max = BinGrid::new(extent, u32::MAX, u32::MAX);
+        assert!(max.validate().is_err());
     }
 
     #[test]

@@ -3,13 +3,23 @@
 //! stress container transitions — empty and full chunks, run-heavy spans, and
 //! ids hugging 4096-aligned chunk boundaries — so array/bitset/run
 //! canonicalisation is exercised from every side.
+//!
+//! The last property pins the premise the selection lattice
+//! (`vizdb::exec::lattice`) rests on: every index counter equals the length
+//! and the `ScanStats::matches` of its bitmap scan, and — for bounds that are
+//! numbers — the scan selects exactly the rows the compiled predicate accepts.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use vizdb::bitmap::{BitmapBuilder, SelectionBitmap, CHUNK_BITS};
-use vizdb::types::RecordId;
+use vizdb::exec::compiled::compile_predicate;
+use vizdb::index::{BPlusTree, InvertedIndex, RTree, ScanStats};
+use vizdb::query::Predicate;
+use vizdb::schema::{ColumnType, TableSchema};
+use vizdb::storage::{Table, TableBuilder};
+use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
 
 const ID_SPAN: u32 = 6 * CHUNK_BITS as u32;
 
@@ -144,5 +154,153 @@ proptest! {
             prop_assert!(bm.contains(n as RecordId - 1));
         }
         prop_assert!(!bm.contains(n as RecordId));
+    }
+}
+
+/// One generated row: `((lon, lat), (value, word))`.
+type PremiseRow = ((f64, f64), (i64, u32));
+
+/// A table whose timestamp and float columns include the extremes
+/// (`i64::MIN`/`MAX`, ±inf) and whose documents repeat words.
+fn premise_table(rows: &[PremiseRow]) -> Table {
+    let schema = TableSchema::new("t")
+        .with_column("when", ColumnType::Timestamp)
+        .with_column("loc", ColumnType::Geo)
+        .with_column("text", ColumnType::Text)
+        .with_column("score", ColumnType::Float);
+    let mut b = TableBuilder::new(schema);
+    for (i, &((lon, lat), (v, w))) in rows.iter().enumerate() {
+        b.push_row(|row| {
+            let when = match i % 50 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => v,
+            };
+            row.set_timestamp("when", when);
+            row.set_geo("loc", lon, lat);
+            let word = format!("w{w}");
+            row.set_text("text", &[word.as_str(), "all", word.as_str()]);
+            let score = match i % 41 {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                _ => v as f64 / 3.0,
+            };
+            row.set_float("score", score);
+        });
+    }
+    b.build()
+}
+
+/// Asserts `counter == bitmap.len() == stats.matches`, and — unless
+/// `skip_selection` (a NaN bound, where float keys and comparisons disagree) —
+/// that the bitmap is the compiled predicate's selection.
+fn assert_premise(
+    table: &Table,
+    pred: &Predicate,
+    counter: usize,
+    (bitmap, stats): (SelectionBitmap, ScanStats),
+    skip_selection: bool,
+) -> Result<(), String> {
+    prop_assert_eq!(counter, bitmap.len());
+    prop_assert_eq!(counter, stats.matches);
+    if !skip_selection {
+        let compiled = compile_predicate(pred, table).map_err(|e| e.to_string())?;
+        let selected: Vec<RecordId> = (0..table.row_count() as RecordId)
+            .filter(|&rid| compiled.eval(rid))
+            .collect();
+        prop_assert_eq!(bitmap.to_vec(), selected);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn index_counters_equal_their_bitmap_scans(
+        rows in proptest::collection::vec(((-130.0f64..-60.0, 20.0f64..50.0), (-300i64..300, 0u32..6)), 0..400),
+        t in (-400i64..400, -400i64..400),
+        x in (-130.0f64..-60.0, -130.0f64..-60.0),
+        y in (20.0f64..50.0, 20.0f64..50.0),
+        s in (-120.0f64..120.0, -120.0f64..120.0),
+        word in 0u32..8,
+    ) {
+        let table = premise_table(&rows);
+        let n = table.row_count() as RecordId;
+        let when = BPlusTree::build((0..n).map(|rid| (table.timestamp(0, rid).unwrap(), rid)).collect());
+        let loc = RTree::build((0..n).map(|rid| (table.geo(1, rid).unwrap(), rid)).collect());
+        let text = InvertedIndex::build(
+            &(0..n).map(|rid| table.text(2, rid).unwrap().to_vec()).collect::<Vec<_>>(),
+        );
+        let score = BPlusTree::build(
+            (0..n).map(|rid| (BPlusTree::float_key(table.numeric(3, rid).unwrap()), rid)).collect(),
+        );
+
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let times = [
+            TimeRange::new(t.0, t.1),
+            TimeRange { start: t.0.max(t.1), end: t.0.min(t.1) - 1 },
+            TimeRange { start: i64::MIN, end: i64::MAX },
+            TimeRange { start: i64::MIN, end: i64::MIN },
+            TimeRange { start: i64::MAX, end: i64::MAX },
+            TimeRange { start: i64::MAX, end: i64::MIN },
+        ];
+        for range in times {
+            let pred = Predicate::TimeRange { attr: 0, range };
+            let counter = when.range_count(range.start, range.end);
+            assert_premise(&table, &pred, counter, when.range_scan_bitmap(range.start, range.end), false)?;
+        }
+
+        let rect = |a: f64, b: f64, c: f64, d: f64| GeoRect { min_lon: a, min_lat: b, max_lon: c, max_lat: d };
+        let rects = [
+            GeoRect::new(x.0, y.0, x.1, y.1),
+            rect(x.0.max(x.1), y.0, x.0.min(x.1), y.1),
+            rect(x.0, y.0, x.0, y.1),
+            rect(x.0, y.0, x.0, y.0),
+            rect(-inf, -inf, inf, inf),
+            rect(x.0, -inf, inf, y.0),
+            rect(nan, y.0, x.1, y.1),
+            rect(x.0, y.0, nan, nan),
+        ];
+        for r in rects {
+            let pred = Predicate::SpatialRange { attr: 1, rect: r };
+            let nan_bound = [r.min_lon, r.min_lat, r.max_lon, r.max_lat].iter().any(|v| v.is_nan());
+            assert_premise(&table, &pred, loc.range_count(&r), loc.range_scan_bitmap(&r), nan_bound)?;
+        }
+
+        let ranges = [
+            NumRange::new(s.0, s.1),
+            NumRange { lo: s.0.max(s.1), hi: s.0.min(s.1) },
+            NumRange { lo: -inf, hi: inf },
+            NumRange { lo: inf, hi: inf },
+            NumRange { lo: -0.0, hi: 0.0 },
+            NumRange { lo: nan, hi: s.1 },
+            NumRange { lo: s.0, hi: nan },
+        ];
+        for range in ranges {
+            let pred = Predicate::NumericRange { attr: 3, range };
+            let (lo, hi) = (BPlusTree::float_key(range.lo), BPlusTree::float_key(range.hi));
+            let nan_bound = range.lo.is_nan() || range.hi.is_nan();
+            assert_premise(&table, &pred, score.range_count(lo, hi), score.range_scan_bitmap(lo, hi), nan_bound)?;
+        }
+
+        for keyword in [format!("w{word}"), "all".to_string(), "nosuchword".to_string()] {
+            let pred = Predicate::keyword(2, keyword.as_str());
+            match table.dictionary().lookup(&keyword) {
+                Some(token) => {
+                    assert_premise(&table, &pred, text.count(token), text.lookup_bitmap(token), false)?
+                }
+                None => {
+                    // An unknown keyword has no token: nothing to count, and
+                    // its compiled form accepts no row.
+                    let compiled = compile_predicate(&pred, &table).map_err(|e| e.to_string())?;
+                    prop_assert!((0..n).all(|rid| !compiled.eval(rid)));
+                }
+            }
+        }
+        // Token ids past the dictionary count zero and scan empty.
+        prop_assert_eq!(text.count(u32::MAX), 0);
+        let (bitmap, stats) = text.lookup_bitmap(u32::MAX);
+        prop_assert!(bitmap.is_empty() && stats.matches == 0);
     }
 }

@@ -232,6 +232,7 @@ fn is_facade_module(path: &str) -> bool {
             path,
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
+                | "crates/vizdb/src/exec/lattice.rs"
                 | "crates/vizdb/src/exec/parallel.rs"
                 | "crates/vizdb/src/fault.rs"
                 | "crates/serve/src/cache.rs"
