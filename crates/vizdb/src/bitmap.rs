@@ -331,8 +331,11 @@ pub struct SelectionBitmap {
 
 impl SelectionBitmap {
     /// The empty set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            chunks: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Number of ids in the set.
@@ -347,26 +350,15 @@ impl SelectionBitmap {
 
     /// Builds from a sorted (ascending, possibly duplicated) id slice.
     pub fn from_sorted(ids: &[RecordId]) -> Self {
-        let mut chunks = Vec::new();
-        let mut len = 0usize;
-        let mut i = 0usize;
+        let mut set = Self::new();
         let mut offs: Vec<u16> = Vec::new();
-        while i < ids.len() {
-            let chunk = ids[i] >> CHUNK_SHIFT;
+        for ids in ids.chunk_by(|a, b| a >> CHUNK_SHIFT == b >> CHUNK_SHIFT) {
             offs.clear();
-            while i < ids.len() && ids[i] >> CHUNK_SHIFT == chunk {
-                let off = (ids[i] & OFFSET_MASK) as u16;
-                if offs.last() != Some(&off) {
-                    offs.push(off);
-                }
-                i += 1;
-            }
-            if let Some((c, card)) = canonical_from_offsets(&offs) {
-                len += card;
-                chunks.push((chunk, c));
-            }
+            offs.extend(ids.iter().map(|&id| (id & OFFSET_MASK) as u16));
+            offs.dedup();
+            set.push_offsets(ids[0] >> CHUNK_SHIFT, &offs);
         }
-        SelectionBitmap { chunks, len }
+        set
     }
 
     /// The set `{0, 1, .., n-1}`.
@@ -575,6 +567,43 @@ impl SelectionBitmap {
         }
     }
 
+    /// ANDs this set's chunk `chunk_id` into `words`, clearing them when the
+    /// chunk is absent: the compiled engine's keyword refinement against a
+    /// token's stored postings.
+    pub(crate) fn and_chunk_into(&self, chunk_id: u32, words: &mut [u64; CHUNK_WORDS]) {
+        let mut mask = [0u64; CHUNK_WORDS];
+        if let Ok(i) = self.chunks.binary_search_by_key(&chunk_id, |&(c, _)| c) {
+            self.chunks[i].1.write_words(&mut mask);
+        }
+        for (w, m) in words.iter_mut().zip(mask.iter()) {
+            *w &= *m;
+        }
+    }
+
+    /// Appends a chunk given its ascending, deduplicated in-chunk offsets;
+    /// `chunk_id` must exceed every chunk id already held.
+    pub(crate) fn push_offsets(&mut self, chunk_id: u32, offsets: &[u16]) {
+        debug_assert!(self.chunks.last().is_none_or(|&(last, _)| last < chunk_id));
+        if let Some((c, card)) = canonical_from_offsets(offsets) {
+            self.len += card;
+            self.chunks.push((chunk_id, c));
+        }
+    }
+
+    /// Heap bytes held by the set's chunks.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let payload: usize = self
+            .chunks
+            .iter()
+            .map(|(_, c)| match c {
+                Container::Array(v) => v.len() * 2,
+                Container::Bitset(_) => CHUNK_WORDS * 8,
+                Container::Run(r) => r.len() * 4,
+            })
+            .sum();
+        payload + self.chunks.len() * std::mem::size_of::<(u32, Container)>()
+    }
+
     /// Number of non-empty chunks — the unit the parallel executor partitions
     /// bitmap-candidate work by.
     pub(crate) fn chunk_count(&self) -> usize {
@@ -733,9 +762,9 @@ impl BitmapBuilder {
 }
 
 /// Streaming constructor for callers that produce chunks in ascending order
-/// (the compiled engine's chunk-at-a-time residual filter, posting-list
-/// decode). Out-of-order or repeated chunk ids are merged correctly, they just
-/// lose the append fast path.
+/// (the compiled engine's chunk-at-a-time residual filter). Out-of-order or
+/// repeated chunk ids are merged correctly, they just lose the append fast
+/// path.
 #[derive(Default)]
 pub struct ChunkWriter {
     chunks: Vec<(u32, Container)>,
@@ -987,6 +1016,46 @@ mod tests {
         let expect: Vec<u32> = (0..10_000).filter(|x| x % 7 == 0).collect();
         assert_eq!(ids(&bm), expect);
         assert_eq!(bm, SelectionBitmap::from_sorted(&expect));
+    }
+
+    /// The chunk-AND kernel against per-row membership, on a set holding an
+    /// array, a bitset and run chunks, for chunks it holds and chunks it lacks.
+    #[test]
+    fn and_chunk_into_matches_per_row_membership() {
+        let v: Vec<u32> = (0..4096)
+            .step_by(97)
+            .chain((4096..8192).filter(|r| r % 3 != 0))
+            .chain(8292..11_192)
+            .chain(4 * 4096..5 * 4096)
+            .collect();
+        let set = SelectionBitmap::from_sorted(&v);
+        let kinds: Vec<(u32, &str)> = set
+            .chunks
+            .iter()
+            .map(|(cid, c)| match c {
+                Container::Array(_) => (*cid, "array"),
+                Container::Bitset(_) => (*cid, "bitset"),
+                Container::Run(_) => (*cid, "run"),
+            })
+            .collect();
+        assert_eq!(kinds, [(0, "array"), (1, "bitset"), (2, "run"), (4, "run")]);
+        for chunk in 0..6u32 {
+            let mut words = [0u64; CHUNK_WORDS];
+            for off in (0..CHUNK_BITS).filter(|o| o % 2 == 0 || o % 5 == 0) {
+                set_bit(&mut words, off);
+            }
+            let before = words;
+            set.and_chunk_into(chunk, &mut words);
+            for off in 0..CHUNK_BITS {
+                let bit = |w: &[u64; CHUNK_WORDS]| w[off >> 6] >> (off & 63) & 1 == 1;
+                let rid = (chunk << CHUNK_SHIFT) | off as u32;
+                assert_eq!(
+                    bit(&words),
+                    bit(&before) && set.contains(rid),
+                    "chunk {chunk} offset {off}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 
 use std::collections::HashMap;
 
-use crate::bitmap::{CHUNK_BITS, CHUNK_WORDS};
+use crate::bitmap::{SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
+use crate::exec::executor::ExecTable;
 use crate::query::{BinGrid, Predicate};
 use crate::storage::{Table, TextColumn};
 use crate::timing::WorkProfile;
@@ -90,6 +91,10 @@ pub enum CompiledPredicate<'a> {
         docs: &'a TextColumn,
         /// The token resolved once at compile time.
         token: Option<TokenId>,
+        /// The token's stored postings, bound by [`compile_predicates`] when
+        /// the column has an inverted index: residual refinement then ANDs
+        /// chunks instead of probing each row's document.
+        postings: Option<&'a SelectionBitmap>,
     },
     /// Time range over a timestamp column.
     Time {
@@ -136,7 +141,7 @@ impl CompiledPredicate<'_> {
     pub fn eval(&self, rid: RecordId) -> bool {
         let rid = rid as usize;
         match self {
-            CompiledPredicate::Keyword { docs, token } => match token {
+            CompiledPredicate::Keyword { docs, token, .. } => match token {
                 Some(t) => docs.doc_contains(rid, *t),
                 None => false,
             },
@@ -156,7 +161,7 @@ impl CompiledPredicate<'_> {
     fn filter_range(&self, start: RecordId, end: RecordId, out: &mut Vec<RecordId>) {
         let (s, e) = (start as usize, end as usize);
         match self {
-            CompiledPredicate::Keyword { docs, token } => {
+            CompiledPredicate::Keyword { docs, token, .. } => {
                 if let Some(t) = token {
                     // CSR layout: sweep the batch's contiguous token stripe once
                     // instead of binary-searching each document.
@@ -218,7 +223,7 @@ impl CompiledPredicate<'_> {
     ) {
         let base = start & !(CHUNK_BITS as RecordId - 1);
         match self {
-            CompiledPredicate::Keyword { docs, token } => {
+            CompiledPredicate::Keyword { docs, token, .. } => {
                 if let Some(t) = token {
                     scratch.clear();
                     docs.rows_containing(start as usize, end as usize, *t, scratch);
@@ -260,11 +265,21 @@ impl CompiledPredicate<'_> {
         }
     }
 
-    /// Re-evaluates the predicate for every set bit of one chunk's `words`
-    /// (rows `chunk_base + bit`), clearing the bits that fail. The residual
-    /// analogue of [`CompiledPredicate::filter`] for bitmap selections.
+    /// Clears the bits of one chunk's `words` (rows `chunk_base + bit`) whose
+    /// rows fail the predicate. The residual analogue of
+    /// [`CompiledPredicate::filter`] for bitmap selections: a keyword with
+    /// bound postings ANDs the token's chunk in, every other predicate
+    /// re-evaluates each set bit.
     #[inline]
     fn refine_words(&self, chunk_base: RecordId, words: &mut [u64; CHUNK_WORDS]) {
+        if let CompiledPredicate::Keyword {
+            postings: Some(postings),
+            ..
+        } = self
+        {
+            postings.and_chunk_into(chunk_base >> CHUNK_BITS.trailing_zeros(), words);
+            return;
+        }
         for (wi, word) in words.iter_mut().enumerate() {
             let mut w = *word;
             while w != 0 {
@@ -284,7 +299,7 @@ impl CompiledPredicate<'_> {
     fn filter(&self, selection: &mut Vec<RecordId>) {
         // One variant dispatch per *batch*, not per row.
         match self {
-            CompiledPredicate::Keyword { docs, token } => match token {
+            CompiledPredicate::Keyword { docs, token, .. } => match token {
                 Some(t) => selection.retain(|&rid| docs.doc_contains(rid as usize, *t)),
                 None => selection.clear(),
             },
@@ -379,6 +394,7 @@ pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<Compi
         Predicate::KeywordContains { attr, keyword } => CompiledPredicate::Keyword {
             docs: table.text_docs(*attr)?,
             token: table.dictionary().lookup(keyword),
+            postings: None,
         },
         Predicate::TimeRange { attr, range } => CompiledPredicate::Time {
             col: table.timestamp_slice(*attr)?,
@@ -405,12 +421,36 @@ pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<Compi
     })
 }
 
-/// Lowers the predicates at `indices` (into `preds`). Returns `Err` when any of
-/// them cannot bind its column — the caller falls back to the interpreter.
+/// [`compile_predicate`] against `fact`, binding a keyword's stored postings
+/// when its column has an inverted index. The index is built from the
+/// column's documents, so the postings hold exactly the rows the CSR probe
+/// accepts.
+pub(crate) fn compile_indexed<'a>(
+    pred: &Predicate,
+    fact: &ExecTable<'a>,
+) -> Result<CompiledPredicate<'a>> {
+    let mut compiled = compile_predicate(pred, fact.table)?;
+    if let CompiledPredicate::Keyword {
+        token: Some(token),
+        postings,
+        ..
+    } = &mut compiled
+    {
+        *postings = fact
+            .inverted
+            .get(&pred.attr())
+            .map(|index| index.postings(*token));
+    }
+    Ok(compiled)
+}
+
+/// Lowers the predicates at `indices` (into `preds`) with
+/// [`compile_indexed`]. Returns `Err` when any of them cannot bind its column
+/// — the caller falls back to the interpreter.
 pub fn compile_predicates<'a>(
     preds: &[Predicate],
     indices: &[usize],
-    table: &'a Table,
+    fact: &ExecTable<'a>,
 ) -> Result<Vec<CompiledPredicate<'a>>> {
     indices
         .iter()
@@ -418,7 +458,7 @@ pub fn compile_predicates<'a>(
             let pred = preds
                 .get(i)
                 .ok_or(crate::error::Error::InvalidAttribute(i))?;
-            compile_predicate(pred, table)
+            compile_indexed(pred, fact)
         })
         .collect()
 }
@@ -827,6 +867,13 @@ mod tests {
         b.build()
     }
 
+    fn compile_all<'a>(preds: &[Predicate], t: &'a Table) -> Vec<CompiledPredicate<'a>> {
+        preds
+            .iter()
+            .map(|p| compile_predicate(p, t).unwrap())
+            .collect()
+    }
+
     #[test]
     fn compiled_predicates_match_interpreted_eval() {
         let t = table();
@@ -874,15 +921,13 @@ mod tests {
     #[test]
     fn batch_filter_evals_match_short_circuit_counts() {
         let t = table();
-        let preds = compile_predicates(
+        let preds = compile_all(
             &[
                 Predicate::time_range(1, 0, 490),
                 Predicate::keyword(3, "hot"),
             ],
-            &[0, 1],
             &t,
-        )
-        .unwrap();
+        );
         let rows = t.row_count() as RecordId;
         let mut row_work = WorkProfile::default();
         let mut expected = Vec::new();
@@ -915,16 +960,14 @@ mod tests {
     #[test]
     fn bitmap_qualify_matches_idvec_qualify() {
         let t = table();
-        let preds = compile_predicates(
+        let preds = compile_all(
             &[
                 Predicate::time_range(1, 0, 490),
                 Predicate::keyword(3, "hot"),
                 Predicate::numeric_range(4, 5.0, 20.0),
             ],
-            &[0, 1, 2],
             &t,
-        )
-        .unwrap();
+        );
         let rows = t.row_count() as RecordId;
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
 

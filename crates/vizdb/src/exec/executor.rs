@@ -7,6 +7,7 @@
 //! [`QueryResult`] is what the visualization quality functions consume.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::approx::ApproxRule;
 use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
@@ -44,8 +45,9 @@ enum Candidates {
     Seq,
     /// Sorted record ids (interpreter and compiled id-vector engines).
     Ids(Vec<RecordId>),
-    /// Bitmap selection (compiled bitmap engine).
-    Bitmap(SelectionBitmap),
+    /// Bitmap selection (compiled bitmap engine); shared when it is one
+    /// index's stored postings.
+    Bitmap(Arc<SelectionBitmap>),
 }
 
 /// Phase-2 output: the qualifying rows, still in engine representation. Both
@@ -180,7 +182,7 @@ pub fn execute_with(
     let mut qualified = match candidates {
         Candidates::Ids(cands) => {
             let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-            let residual = compile_residual(query, &plan.filter_preds, fact.table, engine);
+            let residual = compile_residual(query, &plan.filter_preds, fact, engine);
             match residual {
                 // Uncapped: every candidate is heap-fetched, so batches are exact.
                 Some(preds) if limit_rows.is_none() => compiled::qualify_slice(
@@ -226,7 +228,7 @@ pub fn execute_with(
             Qualified::Ids(qualifying)
         }
         Candidates::Bitmap(cands) => {
-            let residual = compile_residual(query, &plan.filter_preds, fact.table, engine);
+            let residual = compile_residual(query, &plan.filter_preds, fact, engine);
             match residual {
                 // Uncapped: refine the candidate bitmap chunk-by-chunk; every
                 // candidate is heap-fetched, charged per chunk popcount.
@@ -321,7 +323,7 @@ pub fn execute_with(
                 }
             };
             let all_preds: Vec<usize> = (0..query.predicate_count()).collect();
-            let residual = compile_residual(query, &all_preds, fact.table, engine);
+            let residual = compile_residual(query, &all_preds, fact, engine);
             match residual {
                 // Uncapped: the batch entry point matching the restriction shape
                 // (contiguous range, materialised id list, filtered stream). The
@@ -628,11 +630,11 @@ pub(crate) fn validate_output(query: &Query) -> Result<()> {
 fn compile_residual<'a>(
     query: &Query,
     indices: &[usize],
-    table: &'a Table,
+    fact: &ExecTable<'a>,
     engine: ExecEngine,
 ) -> Option<Vec<compiled::CompiledPredicate<'a>>> {
     if engine.is_compiled() {
-        compiled::compile_predicates(&query.predicates, indices, table).ok()
+        compiled::compile_predicates(&query.predicates, indices, fact).ok()
     } else {
         None
     }
@@ -763,8 +765,8 @@ fn index_candidates_bitmap(
     fact: &ExecTable<'_>,
     restriction: &SampleRestriction<'_>,
     work: &mut WorkProfile,
-) -> Result<SelectionBitmap> {
-    let mut lists: Vec<SelectionBitmap> = Vec::with_capacity(plan.index_preds.len());
+) -> Result<Arc<SelectionBitmap>> {
+    let mut lists: Vec<Arc<SelectionBitmap>> = Vec::with_capacity(plan.index_preds.len());
     for &pred_idx in &plan.index_preds {
         let pred = query
             .predicates
@@ -783,25 +785,28 @@ fn index_candidates_bitmap(
         if acc.is_empty() {
             break;
         }
-        acc = acc.and(&list);
+        acc = Arc::new(acc.and(&list));
     }
     match restriction {
         SampleRestriction::All => {}
-        SampleRestriction::SampleRows(rows) => acc.retain(|rid| rows.binary_search(&rid).is_ok()),
+        SampleRestriction::SampleRows(rows) => {
+            Arc::make_mut(&mut acc).retain(|rid| rows.binary_search(&rid).is_ok())
+        }
         SampleRestriction::HashFraction(frac) => {
-            acc.retain(|rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
+            Arc::make_mut(&mut acc).retain(|rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
         }
     }
     Ok(acc)
 }
 
 /// Bitmap-engine twin of [`scan_index`]: same index lookups, same error and
-/// [`WorkProfile`] behaviour, bitmap output.
+/// [`WorkProfile`] behaviour, bitmap output. A keyword scan shares the
+/// token's stored postings instead of building a set.
 pub(crate) fn scan_index_bitmap(
     pred: &Predicate,
     fact: &ExecTable<'_>,
     work: &mut WorkProfile,
-) -> Result<SelectionBitmap> {
+) -> Result<Arc<SelectionBitmap>> {
     work.index_probes += 1;
     let attr = pred.attr();
     match pred {
@@ -815,11 +820,11 @@ pub(crate) fn scan_index_bitmap(
                 })?;
             match fact.table.dictionary().lookup(keyword) {
                 Some(token) => {
-                    let (bm, stats) = index.lookup_bitmap(token);
+                    let (bm, stats) = index.lookup_shared(token);
                     work.index_entries += stats.matches as u64;
                     Ok(bm)
                 }
-                None => Ok(SelectionBitmap::new()),
+                None => Ok(Arc::default()),
             }
         }
         Predicate::TimeRange { range, .. } => {
@@ -829,7 +834,7 @@ pub(crate) fn scan_index_bitmap(
             })?;
             let (bm, stats) = index.range_scan_bitmap(range.start, range.end);
             work.index_entries += stats.matches as u64;
-            Ok(bm)
+            Ok(Arc::new(bm))
         }
         Predicate::NumericRange { range, .. } => {
             let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
@@ -841,7 +846,7 @@ pub(crate) fn scan_index_bitmap(
                 BPlusTree::float_key(range.hi),
             );
             work.index_entries += stats.matches as u64;
-            Ok(bm)
+            Ok(Arc::new(bm))
         }
         Predicate::SpatialRange { rect, .. } => {
             let index = fact.rtree.get(&attr).ok_or_else(|| Error::IndexMissing {
@@ -850,7 +855,7 @@ pub(crate) fn scan_index_bitmap(
             })?;
             let (bm, stats) = index.range_scan_bitmap(rect);
             work.index_entries += stats.matches as u64;
-            Ok(bm)
+            Ok(Arc::new(bm))
         }
     }
 }
@@ -1011,7 +1016,7 @@ fn execute_join(
     let dim_rows = dim.table.row_count();
     let right_indices: Vec<usize> = (0..spec.right_predicates.len()).collect();
     let compiled_right = if engine.is_compiled() {
-        compiled::compile_predicates(&spec.right_predicates, &right_indices, dim.table).ok()
+        compiled::compile_predicates(&spec.right_predicates, &right_indices, dim).ok()
     } else {
         None
     };

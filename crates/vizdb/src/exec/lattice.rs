@@ -248,9 +248,9 @@ impl SelectionLattice {
                     acc.and(&*self.scan(pred, fact)?)
                 }
                 None => compiled::qualify_bitmap(
-                    &[compiled::compile_predicate(
+                    &[compiled::compile_indexed(
                         &self.query.predicates[pred],
-                        fact.table,
+                        fact,
                     )?],
                     &acc,
                     acc.chunk_count(),
@@ -280,7 +280,7 @@ impl SelectionLattice {
             fact,
             &mut WorkProfile::default(),
         )?;
-        Ok(self.insert(bit(pred), Arc::new(scan)))
+        Ok(self.insert(bit(pred), scan))
     }
 
     fn insert(&self, mask: u64, set: Arc<SelectionBitmap>) -> Arc<SelectionBitmap> {

@@ -1,26 +1,28 @@
 //! Inverted index over tokenised text columns.
 //!
-//! Postings are stored as bit-packed skip blocks ([`crate::index::posting`]):
-//! per-block min/max directory entries over fixed-width packed gaps, the
-//! layout a real text index (PostgreSQL GIN, a search engine) uses to keep
-//! postings compact *and* skippable. Keyword predicates
-//! (`Content contains "covid"`) are answered either as a decoded id vector
-//! ([`InvertedIndex::lookup`], the interpreter path) or as a
-//! [`SelectionBitmap`] decoded straight from the blocks
-//! ([`InvertedIndex::lookup_bitmap`], the compiled bitmap path).
+//! Each token's postings are stored as a canonical [`SelectionBitmap`], built
+//! once with the index. Keyword predicates (`Content contains "covid"`) are
+//! answered from the stored set without decoding: shared
+//! ([`InvertedIndex::lookup_shared`], the bitmap index scans), borrowed
+//! ([`InvertedIndex::postings`], the compiled engine's keyword residuals,
+//! which AND candidate chunks with the token's chunks) or copied out as ids
+//! ([`InvertedIndex::lookup`], the id-vector paths).
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::bitmap::SelectionBitmap;
-use crate::index::{PostingList, ScanStats, SecondaryIndex};
+use crate::index::posting::PostingWriter;
+use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::{RecordId, TokenId};
 
-/// Inverted index: token id → compressed posting list.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// The postings of a token no row contains.
+static NO_POSTINGS: SelectionBitmap = SelectionBitmap::new();
+
+/// Inverted index: token id → stored posting bitmap.
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    postings: HashMap<TokenId, PostingList>,
+    postings: HashMap<TokenId, Arc<SelectionBitmap>>,
     indexed_rows: usize,
 }
 
@@ -32,18 +34,26 @@ impl InvertedIndex {
 
     /// Builds the index from an iterator of per-row token slices (row id =
     /// iteration order), e.g. a CSR-flattened [`crate::storage::TextColumn`].
+    /// Build state is one [`PostingWriter`] per token id, so it grows with the
+    /// largest id: tokens are dictionary ids, dense from 0 (a hash map here
+    /// made the build about 1.5× slower).
     pub fn from_docs<'a>(docs: impl Iterator<Item = &'a [TokenId]>) -> Self {
-        let mut lists: HashMap<TokenId, Vec<RecordId>> = HashMap::new();
+        let mut building: Vec<PostingWriter> = Vec::new();
         let mut indexed_rows = 0usize;
         for (rid, tokens) in docs.enumerate() {
             indexed_rows += 1;
             for &t in tokens {
-                lists.entry(t).or_default().push(rid as RecordId);
+                let t = t as usize;
+                if t >= building.len() {
+                    building.resize_with(t + 1, PostingWriter::default);
+                }
+                building[t].push(rid as RecordId);
             }
         }
-        let postings = lists
-            .into_iter()
-            .map(|(t, rids)| (t, PostingList::encode(&rids)))
+        let postings = (0..)
+            .zip(building)
+            .map(|(t, b)| (t, Arc::new(b.finish())))
+            .filter(|(_, bitmap)| !bitmap.is_empty())
             .collect();
         Self {
             postings,
@@ -56,47 +66,34 @@ impl InvertedIndex {
         self.postings.len()
     }
 
-    /// Document frequency of `token` (0 if unseen).
-    pub fn doc_freq(&self, token: TokenId) -> usize {
-        self.postings.get(&token).map(|p| p.len()).unwrap_or(0)
+    /// The stored postings of `token` (empty if unseen).
+    pub fn postings(&self, token: TokenId) -> &SelectionBitmap {
+        self.postings.get(&token).map_or(&NO_POSTINGS, |p| p)
     }
 
-    /// The raw posting list of `token`, if indexed (for skip-block
-    /// intersection across tokens).
-    pub fn posting(&self, token: TokenId) -> Option<&PostingList> {
-        self.postings.get(&token)
+    /// The stored postings of `token`, shared, plus scan statistics.
+    pub fn lookup_shared(&self, token: TokenId) -> (Arc<SelectionBitmap>, ScanStats) {
+        match self.postings.get(&token) {
+            Some(p) => {
+                let stats = ScanStats {
+                    nodes_visited: 1 + p.chunk_count(),
+                    matches: p.len(),
+                };
+                (Arc::clone(p), stats)
+            }
+            None => (Arc::default(), ScanStats::default()),
+        }
     }
 
     /// Record ids containing `token`, sorted ascending, plus scan statistics.
     pub fn lookup(&self, token: TokenId) -> (Vec<RecordId>, ScanStats) {
-        match self.postings.get(&token) {
-            Some(list) => {
-                let stats = Self::stats(list);
-                (list.decode(), stats)
-            }
-            None => (Vec::new(), ScanStats::default()),
-        }
+        let (p, stats) = self.lookup_shared(token);
+        (p.to_vec(), stats)
     }
 
-    /// [`InvertedIndex::lookup`] emitting a [`SelectionBitmap`] decoded block
-    /// by block — identical [`ScanStats`], no sorted id vector in between.
-    pub fn lookup_bitmap(&self, token: TokenId) -> (SelectionBitmap, ScanStats) {
-        match self.postings.get(&token) {
-            Some(list) => (list.to_bitmap(), Self::stats(list)),
-            None => (SelectionBitmap::new(), ScanStats::default()),
-        }
-    }
-
-    fn stats(list: &PostingList) -> ScanStats {
-        ScanStats {
-            nodes_visited: 1 + list.encoded_bytes() / 4096,
-            matches: list.len(),
-        }
-    }
-
-    /// Exact number of rows containing `token` — available without decoding.
+    /// Exact number of rows containing `token`.
     pub fn count(&self, token: TokenId) -> usize {
-        self.doc_freq(token)
+        self.postings(token).len()
     }
 }
 
@@ -106,7 +103,7 @@ impl SecondaryIndex for InvertedIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.postings.values().map(|p| p.encoded_bytes() + 16).sum()
+        self.postings.values().map(|p| p.memory_bytes() + 16).sum()
     }
 }
 
@@ -136,12 +133,13 @@ mod tests {
             .collect();
         let idx = InvertedIndex::build(&docs);
         let (rids, stats) = idx.lookup(7);
-        let (bm, bm_stats) = idx.lookup_bitmap(7);
+        let (bm, bm_stats) = idx.lookup_shared(7);
         assert_eq!(bm.to_vec(), rids);
         assert_eq!(bm.len(), stats.matches);
         assert_eq!(bm_stats, stats);
-        let (empty, empty_stats) = idx.lookup_bitmap(99);
-        assert!(empty.is_empty());
+        assert_eq!(idx.postings(7), &*bm);
+        let (empty, empty_stats) = idx.lookup_shared(99);
+        assert!(empty.is_empty() && idx.postings(99).is_empty());
         assert_eq!(empty_stats, ScanStats::default());
     }
 
@@ -172,7 +170,7 @@ mod tests {
                     .map(|(i, _)| i as RecordId)
                     .collect();
                 prop_assert_eq!(idx.lookup(token).0, expected.clone());
-                prop_assert_eq!(idx.lookup_bitmap(token).0.to_vec(), expected.clone());
+                prop_assert_eq!(idx.postings(token).to_vec(), expected.clone());
                 prop_assert_eq!(idx.count(token), expected.len());
             }
         }

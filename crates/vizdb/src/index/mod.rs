@@ -4,12 +4,11 @@
 
 mod btree;
 mod inverted;
-pub mod posting;
+mod posting;
 mod rtree;
 
 pub use btree::BPlusTree;
 pub use inverted::InvertedIndex;
-pub use posting::PostingList;
 pub use rtree::RTree;
 
 use crate::types::RecordId;
@@ -17,7 +16,7 @@ use crate::types::RecordId;
 /// Statistics reported by an index scan, consumed by the simulated-time cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanStats {
-    /// Number of index nodes / postings blocks touched.
+    /// Number of index nodes / postings chunks touched.
     pub nodes_visited: usize,
     /// Number of matching record ids produced.
     pub matches: usize,

@@ -1,336 +1,78 @@
-//! Bit-packed posting-list blocks with skip pointers.
-//!
-//! A [`PostingList`] stores an ascending record-id list as blocks of up to
-//! [`BLOCK_IDS`] ids. Each block keeps a tiny directory entry — `first` /
-//! `last` id (the skip pointer), count, and the fixed bit `width` of its
-//! packed gap encoding — plus `width * (count - 1)` bits of payload in a
-//! shared word arena. Gaps are stored minus one, so a block of *consecutive*
-//! ids packs at width 0: no payload at all, just the directory entry. That is
-//! the common shape for low-cardinality tokens over clustered rows, and it is
-//! also what lets [`PostingList::to_bitmap`] emit whole run containers
-//! without touching individual ids.
-//!
-//! The directory makes two operations cheap:
-//!
-//! - [`PostingList::intersect`] gallops over *blocks*: a block whose
-//!   `[first, last]` window cannot overlap the other list's current block is
-//!   skipped without decoding a single id (exponential directory search +
-//!   binary refine, the classic skip-pointer walk).
-//! - [`PostingList::to_bitmap`] decodes straight into 4096-bit chunk words,
-//!   which is how index scans hand selections to the executor without ever
-//!   materialising a sorted `Vec<RecordId>`.
+//! Posting bitmaps: rows arrive in id order while an inverted index is built,
+//! so a token's postings are written chunk by chunk, from in-chunk offsets,
+//! straight into a canonical [`SelectionBitmap`] with no intermediate id list.
 
-use serde::{Deserialize, Serialize};
-
-use crate::bitmap::{set_bit, set_span, ChunkWriter, SelectionBitmap, CHUNK_WORDS};
+use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
 use crate::types::RecordId;
 
-/// Maximum record ids per packed block.
-pub const BLOCK_IDS: usize = 128;
-
-/// In-chunk offset mask / shift mirrored from the bitmap layout.
-const CHUNK_SHIFT: u32 = 12;
-const OFFSET_MASK: u32 = (1 << CHUNK_SHIFT) - 1;
-
-/// One block's directory entry: the min/max skip window plus the packed-gap
-/// geometry needed to decode the payload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct BlockMeta {
-    /// Smallest id in the block.
-    first: u32,
-    /// Largest id in the block (the skip pointer).
-    last: u32,
-    /// Word index of the block's payload in the shared arena.
-    word_offset: u32,
-    /// Ids in the block (1..=BLOCK_IDS).
-    count: u16,
-    /// Bits per stored gap; 0 means the block is one consecutive run.
-    width: u8,
+/// One token's postings while the index is built: the finished chunks plus
+/// the in-chunk offsets of the chunk being filled.
+#[derive(Default)]
+pub(super) struct PostingWriter {
+    bitmap: SelectionBitmap,
+    chunk: u32,
+    offsets: Vec<u16>,
 }
 
-/// A compressed ascending record-id list (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PostingList {
-    blocks: Vec<BlockMeta>,
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl PostingList {
-    /// Encodes an ascending list of record ids.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the input is not strictly ascending.
-    pub fn encode(rids: &[RecordId]) -> Self {
-        debug_assert!(rids.windows(2).all(|w| w[0] < w[1]), "postings must ascend");
-        let mut blocks = Vec::with_capacity(rids.len().div_ceil(BLOCK_IDS));
-        let mut words: Vec<u64> = Vec::new();
-        for block in rids.chunks(BLOCK_IDS) {
-            let first = block[0];
-            let last = block[block.len() - 1];
-            let mut max_gap = 0u32;
-            for pair in block.windows(2) {
-                max_gap = max_gap.max(pair[1] - pair[0] - 1);
-            }
-            let width = if max_gap == 0 {
-                0u8
-            } else {
-                (32 - max_gap.leading_zeros()) as u8
-            };
-            let word_offset = words.len() as u32;
-            if width > 0 {
-                let total_bits = width as usize * (block.len() - 1);
-                words.resize(words.len() + total_bits.div_ceil(64), 0);
-                let mut bitpos = 0usize;
-                for pair in block.windows(2) {
-                    let gap = (pair[1] - pair[0] - 1) as u64;
-                    let wi = word_offset as usize + (bitpos >> 6);
-                    let shift = bitpos & 63;
-                    words[wi] |= gap << shift;
-                    if shift + width as usize > 64 {
-                        words[wi + 1] |= gap >> (64 - shift);
-                    }
-                    bitpos += width as usize;
-                }
-            }
-            blocks.push(BlockMeta {
-                first,
-                last,
-                word_offset,
-                count: block.len() as u16,
-                width,
-            });
+impl PostingWriter {
+    /// Posts row `rid`; rows must come in ascending order, repeats allowed.
+    pub(super) fn push(&mut self, rid: RecordId) {
+        let chunk = rid / CHUNK_BITS as RecordId;
+        if chunk != self.chunk {
+            self.bitmap.push_offsets(self.chunk, &self.offsets);
+            self.offsets.clear();
+            self.chunk = chunk;
         }
-        Self {
-            blocks,
-            words,
-            len: rids.len(),
+        let off = (rid % CHUNK_BITS as RecordId) as u16;
+        // A token repeated within one document is posted once.
+        if self.offsets.last() != Some(&off) {
+            self.offsets.push(off);
         }
     }
 
-    /// Number of record ids in the list.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(super) fn finish(mut self) -> SelectionBitmap {
+        self.bitmap.push_offsets(self.chunk, &self.offsets);
+        self.bitmap
     }
-
-    /// Returns `true` when the posting list has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Size of the encoded representation in bytes (payload words plus the
-    /// block directory).
-    pub fn encoded_bytes(&self) -> usize {
-        self.words.len() * 8 + self.blocks.len() * std::mem::size_of::<BlockMeta>()
-    }
-
-    /// Number of packed blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Reads the `idx`-th packed gap of a block (gap-minus-one encoding).
-    fn gap(&self, meta: &BlockMeta, idx: usize) -> u32 {
-        let width = meta.width as usize;
-        let bitpos = idx * width;
-        let wi = meta.word_offset as usize + (bitpos >> 6);
-        let shift = bitpos & 63;
-        let mut v = self.words[wi] >> shift;
-        if shift + width > 64 {
-            v |= self.words[wi + 1] << (64 - shift);
-        }
-        (v & ((1u64 << width) - 1)) as u32
-    }
-
-    /// Decodes block `bi` into `buf`, returning how many ids were written.
-    fn decode_block(&self, bi: usize, buf: &mut [RecordId; BLOCK_IDS]) -> usize {
-        let meta = self.blocks[bi];
-        let n = meta.count as usize;
-        if meta.width == 0 {
-            for (i, slot) in buf.iter_mut().enumerate().take(n) {
-                *slot = meta.first + i as u32;
-            }
-        } else {
-            let mut acc = meta.first;
-            buf[0] = acc;
-            for (i, slot) in buf.iter_mut().enumerate().take(n).skip(1) {
-                acc = acc + self.gap(&meta, i - 1) + 1;
-                *slot = acc;
-            }
-        }
-        n
-    }
-
-    /// Decodes the full list of record ids (ascending order).
-    pub fn decode(&self) -> Vec<RecordId> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut buf = [0u32; BLOCK_IDS];
-        for bi in 0..self.blocks.len() {
-            let n = self.decode_block(bi, &mut buf);
-            out.extend_from_slice(&buf[..n]);
-        }
-        out
-    }
-
-    /// Decodes into a [`SelectionBitmap`] without materialising an id vector.
-    /// Width-0 blocks (consecutive runs) fill whole chunk spans word-wide.
-    pub fn to_bitmap(&self) -> SelectionBitmap {
-        let mut writer = ChunkWriter::new();
-        let mut cur: Option<u32> = None;
-        let mut chunk_words = [0u64; CHUNK_WORDS];
-        let mut buf = [0u32; BLOCK_IDS];
-        for bi in 0..self.blocks.len() {
-            let meta = self.blocks[bi];
-            if meta.width == 0 {
-                // One consecutive run: fill span-by-span across chunks.
-                let mut lo = meta.first;
-                loop {
-                    let chunk = lo >> CHUNK_SHIFT;
-                    if cur != Some(chunk) {
-                        if let Some(c) = cur {
-                            writer.push_words(c, &chunk_words);
-                            chunk_words = [0u64; CHUNK_WORDS];
-                        }
-                        cur = Some(chunk);
-                    }
-                    let chunk_end = (chunk << CHUNK_SHIFT) | OFFSET_MASK;
-                    let end = chunk_end.min(meta.last);
-                    set_span(
-                        &mut chunk_words,
-                        (lo & OFFSET_MASK) as usize,
-                        (end & OFFSET_MASK) as usize,
-                    );
-                    if end >= meta.last {
-                        break;
-                    }
-                    lo = end + 1;
-                }
-            } else {
-                let n = self.decode_block(bi, &mut buf);
-                for &rid in &buf[..n] {
-                    let chunk = rid >> CHUNK_SHIFT;
-                    if cur != Some(chunk) {
-                        if let Some(c) = cur {
-                            writer.push_words(c, &chunk_words);
-                            chunk_words = [0u64; CHUNK_WORDS];
-                        }
-                        cur = Some(chunk);
-                    }
-                    set_bit(&mut chunk_words, (rid & OFFSET_MASK) as usize);
-                }
-            }
-        }
-        if let Some(c) = cur {
-            writer.push_words(c, &chunk_words);
-        }
-        writer.finish()
-    }
-
-    /// Intersects two posting lists with the skip-block gallop: blocks whose
-    /// `[first, last]` windows cannot overlap are skipped via the directory
-    /// (doubling search + binary refine) without decoding any ids; only
-    /// overlapping block pairs are decoded and merge-intersected.
-    pub fn intersect(&self, other: &PostingList) -> Vec<RecordId> {
-        let mut out = Vec::with_capacity(self.len.min(other.len));
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut abuf = [0u32; BLOCK_IDS];
-        let mut bbuf = [0u32; BLOCK_IDS];
-        while i < self.blocks.len() && j < other.blocks.len() {
-            let ab = self.blocks[i];
-            let bb = other.blocks[j];
-            if ab.last < bb.first {
-                i = skip_blocks(&self.blocks, i + 1, bb.first);
-                continue;
-            }
-            if bb.last < ab.first {
-                j = skip_blocks(&other.blocks, j + 1, ab.first);
-                continue;
-            }
-            // Overlapping windows: decode both and merge.
-            let an = self.decode_block(i, &mut abuf);
-            let bn = other.decode_block(j, &mut bbuf);
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < an && y < bn {
-                match abuf[x].cmp(&bbuf[y]) {
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(abuf[x]);
-                        x += 1;
-                        y += 1;
-                    }
-                }
-            }
-            if ab.last <= bb.last {
-                i += 1;
-            }
-            if bb.last <= ab.last {
-                j += 1;
-            }
-        }
-        out
-    }
-}
-
-/// First block index `>= from` whose `last >= target`: exponential search over
-/// the directory followed by a binary refine of the overshoot window.
-fn skip_blocks(blocks: &[BlockMeta], from: usize, target: u32) -> usize {
-    if from >= blocks.len() || blocks[from].last >= target {
-        return from;
-    }
-    let mut step = 1usize;
-    let mut lo = from;
-    loop {
-        let next = match lo.checked_add(step) {
-            Some(n) if n < blocks.len() => n,
-            _ => break,
-        };
-        if blocks[next].last >= target {
-            break;
-        }
-        lo = next;
-        step <<= 1;
-    }
-    let hi = lo.saturating_add(step).min(blocks.len());
-    lo + blocks[lo..hi].partition_point(|b| b.last < target)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The postings written for `rids` (each row posted twice, as for a token
+    /// repeated within its document), checked to hold exactly `rids`.
+    fn write(rids: &[RecordId]) -> SelectionBitmap {
+        let mut w = PostingWriter::default();
+        rids.iter().flat_map(|&r| [r, r]).for_each(|r| w.push(r));
+        let bm = w.finish();
+        assert_eq!(bm.to_vec(), rids);
+        assert_eq!(bm, SelectionBitmap::from_sorted(rids));
+        bm
+    }
+
     #[test]
     fn posting_round_trip() {
-        let rids: Vec<RecordId> = vec![0, 3, 4, 100, 10_000, 10_001];
-        let list = PostingList::encode(&rids);
-        assert_eq!(list.len(), 6);
-        assert_eq!(list.decode(), rids);
+        let bm = write(&[0, 3, 4, 100, 10_000, 10_001, 1 << 16, (1 << 17) + 5]);
+        assert_eq!(bm.len(), 8);
     }
 
     #[test]
     fn consecutive_ids_pack_at_width_zero() {
-        let rids: Vec<RecordId> = (1000..2000).collect();
-        let list = PostingList::encode(&rids);
-        assert_eq!(list.decode(), rids);
-        // Eight directory entries, zero payload words.
-        assert_eq!(list.block_count(), 8);
-        assert_eq!(list.words.len(), 0);
-        assert!(list.encoded_bytes() < 1100, "got {}", list.encoded_bytes());
+        // Consecutive rows need no per-row payload: one run pair per chunk.
+        let bm = write(&(1000..2000).collect::<Vec<_>>());
+        assert!(bm.memory_bytes() < 100, "got {}", bm.memory_bytes());
     }
 
     #[test]
     fn empty_posting_list() {
-        let list = PostingList::encode(&[]);
-        assert!(list.is_empty());
-        assert!(list.decode().is_empty());
-        assert!(list.to_bitmap().is_empty());
+        assert!(write(&[]).is_empty());
     }
 
     #[test]
     fn wide_gaps_round_trip() {
-        let rids: Vec<RecordId> = vec![0, 1 << 20, (1 << 24) + 5, u32::MAX - 1];
-        let list = PostingList::encode(&rids);
-        assert_eq!(list.decode(), rids);
+        let bm = write(&[0, 1 << 20, (1 << 24) + 5, u32::MAX - 1]);
+        assert_eq!(bm.chunk_count(), 4);
     }
 
     #[test]
@@ -338,63 +80,25 @@ mod tests {
         let rids: Vec<RecordId> = (0..50_000)
             .filter(|x| x % 7 == 0 || (20_000..24_000).contains(x))
             .collect();
-        let list = PostingList::encode(&rids);
-        let bm = list.to_bitmap();
-        assert_eq!(bm.len(), rids.len());
-        assert_eq!(bm.to_vec(), rids);
-        assert_eq!(bm, crate::bitmap::SelectionBitmap::from_sorted(&rids));
+        assert_eq!(write(&rids).len(), rids.len());
     }
 
     #[test]
     fn width_zero_run_spans_chunks() {
-        // A consecutive run crossing a 4096 boundary inside one block.
-        let rids: Vec<RecordId> = (4090..4110).collect();
-        let list = PostingList::encode(&rids);
-        assert_eq!(list.words.len(), 0);
-        assert_eq!(list.to_bitmap().to_vec(), rids);
-    }
-
-    #[test]
-    fn intersect_skips_disjoint_blocks() {
-        let a: Vec<RecordId> = (0..100_000).filter(|x| x % 997 == 0).collect();
-        let b: Vec<RecordId> = (0..100_000).collect();
-        let pa = PostingList::encode(&a);
-        let pb = PostingList::encode(&b);
-        assert_eq!(pa.intersect(&pb), a);
-        assert_eq!(pb.intersect(&pa), a);
-        // Fully disjoint windows produce nothing.
-        let lo = PostingList::encode(&(0..500).collect::<Vec<_>>());
-        let hi = PostingList::encode(&(1_000_000..1_000_500).collect::<Vec<_>>());
-        assert!(lo.intersect(&hi).is_empty());
+        // A consecutive run crossing a 4096-row chunk boundary.
+        let bm = write(&(4090..4110).collect::<Vec<_>>());
+        assert_eq!(bm.chunk_count(), 2);
+        assert!(bm.memory_bytes() < 200, "got {}", bm.memory_bytes());
     }
 
     mod proptests {
         use super::*;
         use proptest::prelude::*;
-        use std::collections::BTreeSet;
 
         proptest! {
             #[test]
             fn round_trip_any_ascending(ids in proptest::collection::btree_set(0u32..1_000_000, 0..600)) {
-                let rids: Vec<RecordId> = ids.into_iter().collect();
-                let list = PostingList::encode(&rids);
-                prop_assert_eq!(list.decode(), rids.clone());
-                prop_assert_eq!(list.to_bitmap().to_vec(), rids);
-            }
-
-            #[test]
-            fn intersect_matches_set_semantics(
-                a in proptest::collection::btree_set(0u32..5_000, 0..400),
-                b in proptest::collection::btree_set(0u32..5_000, 0..400),
-            ) {
-                let va: Vec<RecordId> = a.iter().copied().collect();
-                let vb: Vec<RecordId> = b.iter().copied().collect();
-                let expected: Vec<RecordId> =
-                    a.intersection(&b).copied().collect::<BTreeSet<_>>().into_iter().collect();
-                let pa = PostingList::encode(&va);
-                let pb = PostingList::encode(&vb);
-                prop_assert_eq!(pa.intersect(&pb), expected.clone());
-                prop_assert_eq!(pb.intersect(&pa), expected);
+                write(&ids.into_iter().collect::<Vec<RecordId>>());
             }
         }
     }

@@ -4,10 +4,12 @@
 //! ids hugging 4096-aligned chunk boundaries — so array/bitset/run
 //! canonicalisation is exercised from every side.
 //!
-//! The last property pins the premise the selection lattice
-//! (`vizdb::exec::lattice`) rests on: every index counter equals the length
-//! and the `ScanStats::matches` of its bitmap scan, and — for bounds that are
-//! numbers — the scan selects exactly the rows the compiled predicate accepts.
+//! The last properties pin the premises the selection lattice
+//! (`vizdb::exec::lattice`) and keyword refinement rest on: every index
+//! counter equals the length and the `ScanStats::matches` of its bitmap scan,
+//! and — for bounds that are numbers — the scan selects exactly the rows the
+//! compiled predicate accepts; a token's stored postings are exactly the rows
+//! whose document contains it.
 
 use std::collections::BTreeSet;
 
@@ -18,8 +20,8 @@ use vizdb::exec::compiled::compile_predicate;
 use vizdb::index::{BPlusTree, InvertedIndex, RTree, ScanStats};
 use vizdb::query::Predicate;
 use vizdb::schema::{ColumnType, TableSchema};
-use vizdb::storage::{Table, TableBuilder};
-use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
+use vizdb::storage::{Table, TableBuilder, TextColumn};
+use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange, TokenId};
 
 const ID_SPAN: u32 = 6 * CHUNK_BITS as u32;
 
@@ -288,7 +290,8 @@ proptest! {
             let pred = Predicate::keyword(2, keyword.as_str());
             match table.dictionary().lookup(&keyword) {
                 Some(token) => {
-                    assert_premise(&table, &pred, text.count(token), text.lookup_bitmap(token), false)?
+                    let (postings, stats) = text.lookup_shared(token);
+                    assert_premise(&table, &pred, text.count(token), ((*postings).clone(), stats), false)?
                 }
                 None => {
                     // An unknown keyword has no token: nothing to count, and
@@ -300,7 +303,55 @@ proptest! {
         }
         // Token ids past the dictionary count zero and scan empty.
         prop_assert_eq!(text.count(u32::MAX), 0);
-        let (bitmap, stats) = text.lookup_bitmap(u32::MAX);
+        let (bitmap, stats) = text.lookup_shared(u32::MAX);
         prop_assert!(bitmap.is_empty() && stats.matches == 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stored_postings_equal_document_matches(
+        blocks in proptest::collection::vec((0u32..6, 1usize..2500, 0u8..4), 0..6),
+    ) {
+        // Each block appends documents that are empty (pattern 0), hold
+        // token `t` (1), repeat it around token 9, unsorted (2), or hold it
+        // on every other row (3). Tokens 6..=8 are in no document.
+        let mut raw: Vec<Vec<TokenId>> = Vec::new();
+        for &(t, rows, pattern) in &blocks {
+            raw.extend((0..rows).map(|i| match (pattern, i % 2) {
+                (0, _) | (3, 1) => vec![],
+                (2, _) => vec![t, 9, t],
+                _ => vec![t],
+            }));
+        }
+        let mut docs = TextColumn::new();
+        for doc in &raw {
+            let mut sorted = doc.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            docs.push_doc(&sorted);
+        }
+        let index = InvertedIndex::from_docs(docs.docs());
+        let unsorted = InvertedIndex::build(&raw);
+        for token in 0..10 {
+            let expected: Vec<RecordId> = (0..docs.len())
+                .filter(|&rid| docs.doc_contains(rid, token))
+                .map(|rid| rid as RecordId)
+                .collect();
+            let stored = index.postings(token);
+            prop_assert_eq!(stored.to_vec(), expected.clone());
+            prop_assert_eq!(unsorted.postings(token), stored);
+            let (ids, stats) = index.lookup(token);
+            let (shared, shared_stats) = index.lookup_shared(token);
+            prop_assert_eq!(ids, expected.clone());
+            prop_assert_eq!(&*shared, stored);
+            prop_assert_eq!(index.count(token), expected.len());
+            prop_assert_eq!(stats.matches, expected.len());
+            prop_assert_eq!(stats, shared_stats);
+        }
+        prop_assert!(index.postings(u32::MAX).is_empty());
+        prop_assert_eq!(index.lookup_shared(u32::MAX).1, ScanStats::default());
     }
 }

@@ -10,7 +10,9 @@
 //! to the bit-identical time `run_with_engine` (which always executes)
 //! reports, and `run` after pricing must return the identical result, work
 //! profile, time and plan — or the identical error. Every shape the lattice
-//! does not derive must behave exactly as before.
+//! does not derive must behave exactly as before. Plans that filter a keyword
+//! as a residual, which refine by ANDing chunks with the token's stored
+//! postings, are also pinned across every engine and sharded layout.
 
 use proptest::prelude::*;
 
@@ -666,4 +668,132 @@ fn invalid_grids_fail_identically_and_keep_breakers_closed() {
         "well-formed queries still run after a stream of invalid ones"
     );
     assert_eq!(backend.fault_stats().breaker_open_skips, 0);
+}
+
+/// A keyword filtered as a residual refines index candidates by ANDing
+/// chunks with the token's stored postings. On such plans every engine, the
+/// lattice (priced, then served) and both sharded layouts match the
+/// interpreter, over 13k rows: `hot` postings of bitset chunks (every third
+/// row) and of run chunks (every row), `u1000` (one row, so all but one shard
+/// lack the token), an unknown keyword, a text column without an inverted
+/// index (which keeps the document probe) and LIMIT-capped plans.
+#[test]
+fn keyword_residuals_match_the_interpreter() {
+    let points: Vec<(f64, f64)> = (0..13_000)
+        .map(|i| {
+            (
+                -124.0 + (i * 37 % 530) as f64 * 0.1,
+                25.0 + (i * 11 % 230) as f64 * 0.1,
+            )
+        })
+        .collect();
+    let extent = GeoRect::new(-121.0, 27.0, -80.0, 46.0);
+    let mut queries = Vec::new();
+    for word in ["hot", "cold", "u1000", "nosuchword"] {
+        let base = Query::select("events")
+            .filter(Predicate::time_range(1, 4_000, 58_000))
+            .filter(Predicate::spatial_range(2, extent))
+            .filter(Predicate::keyword(3, word));
+        let grid = BinGrid::new(extent, 24, 12);
+        queries.push(base.clone().output(OutputKind::BinnedCounts {
+            point_attr: 2,
+            grid,
+        }));
+        queries.push(base.clone().output(OutputKind::Points {
+            id_attr: 0,
+            point_attr: 2,
+        }));
+        queries.push(base.output(OutputKind::Count).limit(40));
+    }
+    for keyword_every in [3, 1] {
+        let table = build_table(&points, keyword_every);
+        let indexed = |config: DbConfig, columns: &[&str]| {
+            let mut db = Database::new(config);
+            db.register_table(table.clone()).unwrap();
+            for column in columns {
+                db.build_index("events", column).unwrap();
+            }
+            db
+        };
+        let all = ["id", "when", "loc", "text", "score"];
+        let oracle = indexed(DbConfig::default(), &all);
+        let mut residual_plans = 0;
+        for db in [
+            indexed(DbConfig::default(), &all),
+            indexed(DbConfig::default(), &all[..3]),
+        ] {
+            for query in &queries {
+                for ro in hint_options(query) {
+                    let expected = db
+                        .run_with_engine(query, &ro, ExecEngine::Interpreted)
+                        .unwrap();
+                    let plan = &expected.plan;
+                    residual_plans +=
+                        usize::from(!plan.index_preds.is_empty() && plan.filter_preds.contains(&2));
+                    for engine in [
+                        ExecEngine::CompiledIdVec,
+                        ExecEngine::CompiledBitmap,
+                        ExecEngine::ParallelBitmap { threads: 2 },
+                        ExecEngine::ParallelBitmap { threads: 4 },
+                    ] {
+                        db.clear_caches();
+                        let got = db.run_with_engine(query, &ro, engine).unwrap();
+                        let what = format!("{engine:?} {ro:?} {query:?}");
+                        assert_eq!(
+                            (&got.result, &got.work, &got.plan),
+                            (&expected.result, &expected.work, plan),
+                            "{what}"
+                        );
+                        assert_eq!(got.time_ms.to_bits(), expected.time_ms.to_bits(), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(
+            residual_plans >= 40,
+            "{residual_plans} keyword-residual index plans"
+        );
+
+        let threaded = DbConfig {
+            exec_threads: 4,
+            ..DbConfig::default()
+        };
+        for lattice in [indexed(DbConfig::default(), &all), indexed(threaded, &all)] {
+            for query in &queries {
+                let derived =
+                    assert_lattice_matches(&lattice, &oracle, query, &hint_options(query));
+                assert_eq!(derived, query.limit.is_none(), "{query:?}");
+            }
+        }
+
+        for scheme in [
+            PartitionScheme::Lon1D,
+            PartitionScheme::Tiles2D { grid_dim: 8 },
+        ] {
+            let (lattice, executed) = (sharded(&table, scheme), sharded(&table, scheme));
+            for query in &queries {
+                for ro in hint_options(query) {
+                    let expected = executed.run(query, &ro).unwrap();
+                    let what = format!("{scheme:?} {ro:?} {query:?}");
+                    let priced = lattice.execution_time_ms(query, &ro).unwrap();
+                    let served = lattice.run(query, &ro).unwrap();
+                    assert_eq!(
+                        (&served.result, &served.work),
+                        (&expected.result, &expected.work),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        served.time_ms.to_bits(),
+                        expected.time_ms.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(priced.to_bits(), expected.time_ms.to_bits(), "{what}");
+                    let unsharded = oracle
+                        .run_with_engine(query, &ro, ExecEngine::Interpreted)
+                        .unwrap();
+                    assert_eq!(served.result, unsharded.result, "{what}");
+                }
+            }
+        }
+    }
 }

@@ -212,6 +212,7 @@ fn is_hot_path(path: &str) -> bool {
         || matches!(
             path,
             "crates/vizdb/src/bitmap.rs"
+                | "crates/vizdb/src/index/inverted.rs"
                 | "crates/vizdb/src/index/posting.rs"
                 | "crates/core/src/online.rs"
                 | "crates/serve/src/server.rs"
