@@ -1,26 +1,24 @@
-//! The `exec` experiment: interpreter vs compiled id-vector batches vs
-//! compiled bitmap selections.
+//! The `exec` experiment: interpreter vs compiled bitmap selections.
 //!
 //! The simulated backend's executor is the hottest path in the repo — every QTE
 //! feature, Q-agent reward and serving decision is trained against its cost
-//! profile, so `vizdb` grew two compiled execution engines
-//! ([`vizdb::exec::ExecEngine::CompiledIdVec`] and the default
-//! [`vizdb::exec::ExecEngine::CompiledBitmap`]): predicates are lowered once
-//! per execution, then evaluated either over record-id batches with a
-//! selection-vector loop or over `SelectionBitmap` chunks with 64-bit word
-//! kernels and skip-block index scans. This experiment runs the same viewport
-//! workloads through all three engines and reports:
+//! profile, so `vizdb` grew a compiled execution engine (the default
+//! [`vizdb::exec::ExecEngine::Compiled`]): predicates are lowered once per
+//! execution, then evaluated over `SelectionBitmap` chunks with 64-bit word
+//! kernels and bitmap index scans. This experiment runs the same viewport
+//! workloads through the interpreter and the compiled engine and reports:
 //!
 //! * **result equivalence** — every `QueryResult`, `WorkProfile` and simulated
 //!   time must be byte-identical (asserted, not just reported: the engines are
 //!   observationally indistinguishable, only wall-clock differs);
-//! * **aggregate wall-clock speedup** — total real time of the batch, bitmap
+//! * **aggregate wall-clock speedup** — total real time of the batch, compiled
 //!   engine vs interpreter, for a sequential-scan-heavy workload (every
 //!   predicate residual), a multi-predicate index-residual one (two indexed
 //!   predicates intersected, one residual) and an index-heavy one (every
 //!   predicate answered by an index);
 //! * a machine-readable `BENCH_exec.json` dump in the working directory,
-//!   extending the repo's performance trajectory.
+//!   headed by the host's core count and the rows per table, extending the
+//!   repo's performance trajectory.
 //!
 //! In optimized builds the seq-scan-heavy speedup is asserted to be ≥ 2× and
 //! the index-heavy aggregate (index-residual + index-heavy regimes) ≥ 1.5×;
@@ -152,6 +150,9 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
 
     let mut rows = Vec::new();
     let mut dump = Vec::new();
+    let parallelism = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
     let mut seq_interp_ms = 0.0f64;
     let mut seq_bitmap_ms = 0.0f64;
     let mut idx_interp_ms = 0.0f64;
@@ -192,16 +193,11 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
             db.clear_caches();
             let interpreted = run_pass(db, &queries, ro, ExecEngine::Interpreted);
             db.clear_caches();
-            let idvec = run_pass(db, &queries, ro, ExecEngine::CompiledIdVec);
-            db.clear_caches();
-            let bitmap = run_pass(db, &queries, ro, ExecEngine::CompiledBitmap);
-            assert_pass_matches(&name, "compiled-idvec", &interpreted, &idvec);
-            assert_pass_matches(&name, "compiled-bitmap", &interpreted, &bitmap);
+            let bitmap = run_pass(db, &queries, ro, ExecEngine::default());
+            assert_pass_matches(&name, "compiled", &interpreted, &bitmap);
             let interp_ms = interpreted.wall_nanos as f64 / 1e6;
-            let idvec_ms = idvec.wall_nanos as f64 / 1e6;
             let bitmap_ms = bitmap.wall_nanos as f64 / 1e6;
             let speedup = interp_ms / bitmap_ms.max(1e-9);
-            let speedup_vs_idvec = idvec_ms / bitmap_ms.max(1e-9);
             match *regime {
                 "seq-scan-heavy" => {
                     seq_interp_ms += interp_ms;
@@ -217,7 +213,6 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
                 format!("{}", queries.len()),
                 format!("{REPEATS}"),
                 format!("{interp_ms:.1}"),
-                format!("{idvec_ms:.1}"),
                 format!("{bitmap_ms:.1}"),
                 format!("{speedup:.2}x"),
                 "yes".to_string(),
@@ -229,16 +224,14 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
                 "queries": queries.len(),
                 "repeats": REPEATS,
                 "interpreted_wall_ms": interp_ms,
-                "compiled_idvec_wall_ms": idvec_ms,
                 "compiled_bitmap_wall_ms": bitmap_ms,
                 "speedup": speedup,
-                "speedup_vs_idvec": speedup_vs_idvec,
                 "identical_results": true,
             }));
         }
     }
 
-    // The acceptance bars: the (default) bitmap engine must at least halve the
+    // The acceptance bars: the (default) compiled engine must at least halve the
     // wall clock of the seq-scan-heavy suite and take ≥ 1.5x off the
     // index-heavy suites. Only enforced in optimized builds (unoptimized
     // codegen distorts the ratios), and only unless
@@ -268,20 +261,21 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
     } else {
         assert!(
             seq_speedup >= 2.0,
-            "bitmap engine must be >= 2x on the seq-scan-heavy workloads, got {seq_speedup:.2}x"
+            "compiled engine must be >= 2x on the seq-scan-heavy workloads, got {seq_speedup:.2}x"
         );
         assert!(
             idx_speedup >= 1.5,
-            "bitmap engine must be >= 1.5x on the index-heavy workloads, got {idx_speedup:.2}x"
+            "compiled engine must be >= 1.5x on the index-heavy workloads, got {idx_speedup:.2}x"
         );
     }
 
-    let (scaling_output, scaling_payload) = run_thread_scaling(scale, n, assert_opted_out);
+    let (scaling_output, scaling_payload) =
+        run_thread_scaling(scale, n, parallelism, assert_opted_out);
 
     let output = ExperimentOutput {
         id: "exec".into(),
         title: format!(
-            "Execution engine: interpreter vs compiled id-vector batches vs compiled bitmaps, \
+            "Execution engine: interpreter vs compiled bitmaps, \
              Twitter + NYC Taxi heatmap viewports ({} rows/table, {REPEATS} repeats; wall clock; \
              aggregate speedups: seq-scan {seq_speedup:.2}x, index {idx_speedup:.2}x)",
             scale.rows,
@@ -291,8 +285,7 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
             "Viewports",
             "Repeats",
             "Interpreted (ms)",
-            "Id-vec (ms)",
-            "Bitmap (ms)",
+            "Compiled (ms)",
             "Speedup",
             "Identical results",
         ]
@@ -315,8 +308,9 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         "BENCH_exec.json",
         serde_json::to_string_pretty(&json!({
             "experiment": "exec",
-            "datasets": ["twitter", "nyctaxi"],
+            "host_parallelism": parallelism,
             "rows_per_table": scale.rows,
+            "datasets": ["twitter", "nyctaxi"],
             "repeats": REPEATS,
             "results": payload,
         }))
@@ -335,8 +329,8 @@ const SCALING_REPEATS: usize = 3;
 /// The morsel-parallel scaling regime: the seq-scan-heavy Twitter workload on
 /// a dedicated larger table (scan work must dominate the per-query fixed
 /// overheads the thread crew cannot parallelise — planning, fingerprinting and
-/// the worker spawns themselves), run through `ExecEngine::ParallelBitmap` at
-/// 1/2/4/8 threads against the sequential bitmap reference.
+/// the worker spawns themselves), run through `ExecEngine::Compiled` at
+/// 1/2/4/8 threads against the sequential reference.
 ///
 /// Byte-identity of results, work profiles and simulated times is asserted at
 /// *every* thread count unconditionally. The wall-clock bar — ≥ 2x aggregate
@@ -346,15 +340,13 @@ const SCALING_REPEATS: usize = 3;
 fn run_thread_scaling(
     base_scale: maliva_workload::DatasetScale,
     n: usize,
+    parallelism: usize,
     assert_opted_out: bool,
 ) -> (ExperimentOutput, serde_json::Value) {
     let mut scale = base_scale;
     scale.rows = scale.rows.max(120_000);
     scale.dim_rows = scale.dim_rows.max(6_000);
     let n = (n / 4).clamp(24, 80);
-    let parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
 
     let sc = scenario(
         DatasetKind::Twitter,
@@ -380,17 +372,11 @@ fn run_thread_scaling(
 
     // Untimed warmup (first-touch) with the sequential reference engine.
     for query in &queries {
-        db.run_with_engine(query, &ro, ExecEngine::CompiledBitmap)
+        db.run_with_engine(query, &ro, ExecEngine::default())
             .expect("warmup");
     }
     db.clear_caches();
-    let reference = run_pass_repeats(
-        db,
-        &queries,
-        &ro,
-        ExecEngine::CompiledBitmap,
-        SCALING_REPEATS,
-    );
+    let reference = run_pass_repeats(db, &queries, &ro, ExecEngine::default(), SCALING_REPEATS);
     let sequential_ms = reference.wall_nanos as f64 / 1e6;
 
     let mut rows = Vec::new();
@@ -402,12 +388,12 @@ fn run_thread_scaling(
             db,
             &queries,
             &ro,
-            ExecEngine::ParallelBitmap { threads },
+            ExecEngine::Compiled { threads },
             SCALING_REPEATS,
         );
         assert_pass_matches(
             "twitter thread-scaling",
-            &format!("parallel-bitmap x{threads}"),
+            &format!("compiled x{threads}"),
             &reference,
             &pass,
         );
@@ -457,7 +443,7 @@ fn run_thread_scaling(
     } else {
         assert!(
             speedup_at_4 >= 2.0,
-            "parallel bitmap engine must be >= 2x at 4 threads on the seq-scan-heavy workload, \
+            "parallel compiled engine must be >= 2x at 4 threads on the seq-scan-heavy workload, \
              got {speedup_at_4:.2}x"
         );
     }
@@ -465,7 +451,7 @@ fn run_thread_scaling(
     let output = ExperimentOutput {
         id: "exec-threads".into(),
         title: format!(
-            "Morsel-parallel execution: sequential bitmap vs ParallelBitmap at 1/2/4/8 threads, \
+            "Morsel-parallel execution: sequential vs compiled engine at 1/2/4/8 threads, \
              Twitter seq-scan-heavy viewports ({} rows, {SCALING_REPEATS} repeats, host \
              parallelism {parallelism}; byte-identical at every thread count; 4-thread speedup \
              {speedup_at_4:.2}x)",

@@ -757,7 +757,7 @@ pub fn experiment_descriptions() -> BTreeMap<&'static str, &'static str> {
         ),
         (
             "exec",
-            "Interpreter vs compiled batch engine (wall-clock speedup + byte-identical results)",
+            "Interpreter vs compiled engine (wall-clock speedup + byte-identical results)",
         ),
         (
             "chaos",

@@ -18,7 +18,7 @@ use crate::plan::PhysicalPlan;
 use crate::query::{render_sql, Predicate, Query};
 use crate::schema::{ColumnType, TableSchema};
 use crate::stats::TableStats;
-use crate::storage::{ColumnData, SampleTable, Table};
+use crate::storage::{check_fraction, ColumnData, SampleTable, Table};
 use crate::timing::{apply_profile_noise, execution_time_ms, CostParams, WorkProfile};
 use crate::types::RecordId;
 
@@ -35,11 +35,11 @@ pub struct DbConfig {
     pub seed: u64,
     /// Millisecond cost constants of the execution engine.
     pub cost_params: CostParams,
-    /// Worker threads for the morsel-driven parallel bitmap engine. `1` (the
-    /// default) runs the sequential [`ExecEngine::CompiledBitmap`]; higher
-    /// counts run [`ExecEngine::ParallelBitmap`], whose results, work profile
-    /// and simulated time are byte-identical at every thread count (only
-    /// wall-clock changes). The calling thread participates as a worker.
+    /// Worker threads of the compiled engine ([`ExecEngine::Compiled`]). `1`
+    /// (the default) runs sequentially; higher counts run morsel-parallel,
+    /// with results, work profile and simulated time byte-identical at every
+    /// thread count (only wall-clock changes). The calling thread
+    /// participates as a worker.
     pub exec_threads: usize,
 }
 
@@ -302,8 +302,10 @@ impl Database {
         Ok(())
     }
 
-    /// Builds a `fraction_pct`% random sample of `table`.
+    /// Builds a `fraction_pct`% random sample of `table`. A fraction outside
+    /// `1..=100` fails with [`Error::InvalidQuery`] and changes nothing.
     pub fn build_sample(&mut self, table: &str, fraction_pct: u32) -> Result<()> {
+        check_fraction(fraction_pct)?;
         let seed = self.config.seed;
         let entry = self
             .tables
@@ -447,16 +449,10 @@ impl Database {
         Ok((sel, scanned))
     }
 
-    /// The engine selected by this instance's configuration: the sequential
-    /// default, or [`ExecEngine::ParallelBitmap`] when
-    /// [`DbConfig::exec_threads`] asks for more than one worker.
+    /// The compiled engine at [`DbConfig::exec_threads`] workers.
     fn default_engine(&self) -> ExecEngine {
-        if self.config.exec_threads > 1 {
-            ExecEngine::ParallelBitmap {
-                threads: self.config.exec_threads,
-            }
-        } else {
-            ExecEngine::default()
+        ExecEngine::Compiled {
+            threads: self.config.exec_threads,
         }
     }
 
@@ -479,11 +475,10 @@ impl Database {
     }
 
     /// [`Database::run`] with an explicit execution engine, which always
-    /// executes the plan — the interpreter, the compiled id-vector engine and
-    /// the compiled bitmap engine are observationally identical (same results,
-    /// same work profile, same simulated time); the knob exists for
-    /// equivalence tests and the `exec` benchmark that measures the wall-clock
-    /// gaps.
+    /// executes the plan — the interpreter and the compiled engine at any
+    /// thread count are observationally identical (same results, same work
+    /// profile, same simulated time); the knob exists for equivalence tests
+    /// and the `exec` benchmark that measures the wall-clock gaps.
     pub fn run_with_engine(
         &self,
         query: &Query,

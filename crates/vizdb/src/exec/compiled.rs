@@ -1,11 +1,11 @@
-//! The compiled columnar batch execution path.
+//! The compiled columnar execution path.
 //!
 //! The interpreter in [`crate::exec::executor`] re-matches the [`ColumnData`]
 //! variant, re-bounds-checks the column vector and — for keyword predicates —
 //! re-resolves the dictionary token on *every row*. This module lowers each
 //! query's predicates **once per execution** into typed [`CompiledPredicate`]s
 //! that bind the concrete column slice and the pre-resolved token up front, then
-//! evaluates them over record-id batches with a selection-vector loop: predicate
+//! evaluates them over the 4096-row chunks of a [`SelectionBitmap`]: predicate
 //! `k` only sees the rows that survived predicates `0..k`, which is exactly the
 //! work the short-circuiting interpreter performs, so `WorkProfile` counts (and
 //! therefore simulated times) are identical by construction.
@@ -15,7 +15,7 @@
 //! `Vec<u64>` indexed by bin id instead of a `HashMap`, producing the same
 //! sorted `(bin, count)` pairs without hashing per qualifying row.
 //!
-//! Compilation is falliable (a type-mismatched or out-of-range predicate cannot
+//! Compilation is fallible (a type-mismatched or out-of-range predicate cannot
 //! bind its column); callers fall back to the interpreter in that case so error
 //! behaviour — including the "empty table never evaluates a predicate" edge —
 //! stays observationally identical.
@@ -32,48 +32,47 @@ use crate::storage::{Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
 
-/// Which execution path the executor takes. The compiled bitmap engine is the
+/// Which execution path the executor takes. The compiled engine is the
 /// default; the interpreter is kept as the semantic reference (equivalence is
-/// pinned by a property test) and as the fallback for queries that fail to
-/// compile, and the id-vector engine is the intermediate point — compiled
-/// predicates over `Vec<RecordId>` selection vectors — kept both as a second
-/// reference and as the baseline the bench compares bitmaps against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// pinned by property tests) and as the fallback for predicates that cannot
+/// compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Row-at-a-time `Result`-dispatched predicate interpretation.
     Interpreted,
-    /// Predicates lowered once per execution, evaluated over record-id batches
-    /// held as sorted `Vec<RecordId>` selection vectors.
-    CompiledIdVec,
     /// Predicates lowered once per execution, candidates carried as
-    /// [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refined
-    /// chunk-by-chunk over 64-bit words.
-    #[default]
-    CompiledBitmap,
-    /// The bitmap engine with morsel-driven intra-query parallelism: the
-    /// record space is split into chunk-aligned morsels executed by `threads`
-    /// workers and merged in deterministic morsel order, so every observable
-    /// (results, `WorkProfile`, simulated time, plan) is byte-identical to
-    /// [`ExecEngine::CompiledBitmap`] at any thread count. `threads <= 1`
-    /// degenerates to the sequential bitmap engine.
-    ParallelBitmap {
-        /// Worker count; the calling thread participates as one of them.
+    /// [`SelectionBitmap`]s and refined chunk by chunk over 64-bit words. With
+    /// `threads > 1` the chunk work runs as morsels on a worker crew
+    /// ([`crate::exec::parallel`]) and every observable (results,
+    /// `WorkProfile`, simulated time, plan) stays byte-identical to one
+    /// thread.
+    Compiled {
+        /// Worker count; the calling thread participates as one of them, and
+        /// `threads <= 1` runs sequentially.
         threads: usize,
     },
 }
 
-impl ExecEngine {
-    /// `true` for every compiled variant — they share predicate lowering and
-    /// the interpreter fallback for uncompilable queries.
-    pub fn is_compiled(self) -> bool {
-        !matches!(self, ExecEngine::Interpreted)
+impl Default for ExecEngine {
+    fn default() -> Self {
+        ExecEngine::Compiled { threads: 1 }
     }
 }
 
-/// Record ids per selection-vector batch. Small enough that a batch of ids plus
-/// the touched column stripes stay cache-resident, large enough to amortise the
-/// per-batch bookkeeping.
-pub(crate) const BATCH_ROWS: usize = 1024;
+impl ExecEngine {
+    /// `true` for the compiled engine at any thread count.
+    pub fn is_compiled(self) -> bool {
+        !matches!(self, ExecEngine::Interpreted)
+    }
+
+    /// Workers the engine runs chunk work on (1 for the interpreter).
+    pub(crate) fn threads(self) -> usize {
+        match self {
+            ExecEngine::Compiled { threads } => threads.max(1),
+            ExecEngine::Interpreted => 1,
+        }
+    }
+}
 
 /// Largest grid (cells) binned into a dense `Vec<u64>`; larger grids fall back
 /// to the `HashMap` path (a 2^20-cell grid is already a 1024×1024 heatmap —
@@ -153,59 +152,6 @@ impl CompiledPredicate<'_> {
         }
     }
 
-    /// Evaluates the predicate over the contiguous row range `[start, end)`,
-    /// pushing matching record ids. This is the columnar fast path for the
-    /// *first* predicate of a sequential scan: it streams the raw column slice
-    /// instead of gathering through a selection vector.
-    #[inline]
-    fn filter_range(&self, start: RecordId, end: RecordId, out: &mut Vec<RecordId>) {
-        let (s, e) = (start as usize, end as usize);
-        match self {
-            CompiledPredicate::Keyword { docs, token, .. } => {
-                if let Some(t) = token {
-                    // CSR layout: sweep the batch's contiguous token stripe once
-                    // instead of binary-searching each document.
-                    docs.rows_containing(s, e, *t, out);
-                }
-            }
-            CompiledPredicate::Time { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericInt { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v as f64) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericFloat { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericTimestamp { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v as f64) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::Spatial { col, rect } => {
-                for (i, p) in col[s..e].iter().enumerate() {
-                    if rect.contains(p) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-        }
-    }
-
     /// Evaluates the predicate over the contiguous row range `[start, end)`
     /// of one 4096-row chunk, setting the bit of each matching row in `words`
     /// (bit index = `rid - chunk_base`, where the chunk base is `start` rounded
@@ -266,10 +212,8 @@ impl CompiledPredicate<'_> {
     }
 
     /// Clears the bits of one chunk's `words` (rows `chunk_base + bit`) whose
-    /// rows fail the predicate. The residual analogue of
-    /// [`CompiledPredicate::filter`] for bitmap selections: a keyword with
-    /// bound postings ANDs the token's chunk in, every other predicate
-    /// re-evaluates each set bit.
+    /// rows fail the predicate: a keyword with bound postings ANDs the token's
+    /// chunk in, every other predicate re-evaluates each set bit.
     #[inline]
     fn refine_words(&self, chunk_base: RecordId, words: &mut [u64; CHUNK_WORDS]) {
         if let CompiledPredicate::Keyword {
@@ -289,34 +233,6 @@ impl CompiledPredicate<'_> {
                     *word &= !(1u64 << bit);
                 }
                 w &= w - 1;
-            }
-        }
-    }
-
-    /// Filters a selection vector in place, keeping the rows that satisfy the
-    /// predicate.
-    #[inline]
-    fn filter(&self, selection: &mut Vec<RecordId>) {
-        // One variant dispatch per *batch*, not per row.
-        match self {
-            CompiledPredicate::Keyword { docs, token, .. } => match token {
-                Some(t) => selection.retain(|&rid| docs.doc_contains(rid as usize, *t)),
-                None => selection.clear(),
-            },
-            CompiledPredicate::Time { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize]))
-            }
-            CompiledPredicate::NumericInt { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize] as f64))
-            }
-            CompiledPredicate::NumericFloat { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize]))
-            }
-            CompiledPredicate::NumericTimestamp { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize] as f64))
-            }
-            CompiledPredicate::Spatial { col, rect } => {
-                selection.retain(|&rid| rect.contains(&col[rid as usize]))
             }
         }
     }
@@ -478,118 +394,6 @@ pub fn eval_row(preds: &[CompiledPredicate<'_>], rid: RecordId, work: &mut WorkP
     true
 }
 
-/// Runs predicates `1..` of the conjunction over an already-seeded selection
-/// vector and appends the survivors. Predicate 0 was applied by the caller
-/// (either by seeding the vector or via [`CompiledPredicate::filter_range`]).
-#[inline]
-fn finish_batch(
-    rest: &[CompiledPredicate<'_>],
-    selection: &mut Vec<RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-) {
-    for pred in rest {
-        if selection.is_empty() {
-            break;
-        }
-        work.filter_evals += selection.len() as u64;
-        pred.filter(selection);
-    }
-    qualifying.extend_from_slice(selection);
-}
-
-/// Batch-qualifies the contiguous row range `rows` through the compiled
-/// conjunction, appending survivors to `qualifying`. The first predicate
-/// streams each batch's column stripe directly ([`CompiledPredicate::filter_range`]);
-/// later predicates filter the shrinking selection vector.
-///
-/// `filter_evals` accounting matches the short-circuiting interpreter exactly:
-/// predicate `k` is charged once per row that survived predicates `0..k`.
-pub fn qualify_range(
-    preds: &[CompiledPredicate<'_>],
-    rows: std::ops::Range<RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = rows.end.min(start + BATCH_ROWS as RecordId);
-        per_batch_rows(work, (end - start) as u64);
-        selection.clear();
-        match preds.first() {
-            Some(first) => {
-                work.filter_evals += (end - start) as u64;
-                first.filter_range(start, end, &mut selection);
-            }
-            None => selection.extend(start..end),
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
-        start = end;
-    }
-}
-
-/// Batch-qualifies an explicit record-id list (index candidates, sample rows)
-/// through the compiled conjunction. Same accounting as [`qualify_range`].
-pub fn qualify_slice(
-    preds: &[CompiledPredicate<'_>],
-    rids: &[RecordId],
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    for chunk in rids.chunks(BATCH_ROWS) {
-        per_batch_rows(work, chunk.len() as u64);
-        selection.clear();
-        selection.extend_from_slice(chunk);
-        if let Some(first) = preds.first() {
-            work.filter_evals += selection.len() as u64;
-            first.filter(&mut selection);
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
-    }
-}
-
-/// Batch-qualifies an arbitrary record-id stream (e.g. the hash-sampled scan)
-/// through the compiled conjunction. Same accounting as [`qualify_range`].
-pub fn qualify_batches(
-    preds: &[CompiledPredicate<'_>],
-    candidates: impl Iterator<Item = RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    let mut source = candidates.peekable();
-    while source.peek().is_some() {
-        selection.clear();
-        selection.extend(source.by_ref().take(BATCH_ROWS));
-        per_batch_rows(work, selection.len() as u64);
-        if let Some(first) = preds.first() {
-            work.filter_evals += selection.len() as u64;
-            first.filter(&mut selection);
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
-    }
-}
-
 #[inline]
 fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
@@ -601,10 +405,9 @@ fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
 /// kernel ([`CompiledPredicate::fill_words`]); later predicates re-evaluate
 /// only the set bits ([`CompiledPredicate::refine_words`]).
 ///
-/// `filter_evals` accounting matches [`qualify_range`] (and therefore the
-/// short-circuiting interpreter) exactly: predicate `k` is charged once per
-/// row that survived predicates `0..k` — a chunk's surviving-row count is one
-/// `popcount` away.
+/// `filter_evals` accounting matches the short-circuiting interpreter
+/// exactly: predicate `k` is charged once per row that survived predicates
+/// `0..k` — a chunk's surviving-row count is one `popcount` away.
 ///
 /// `chunk_capacity` pre-sizes the result's chunk vector (callers derive it
 /// from the planner's row estimate); it is a capacity hint only and never
@@ -651,10 +454,11 @@ pub fn qualify_range_bitmap(
     writer.finish()
 }
 
-/// Refines an index-candidate [`SelectionBitmap`] through the compiled residual
-/// conjunction chunk by chunk. Every predicate (including the first) sees only
-/// the already-selected rows, so each is charged `popcount` of the surviving
-/// words — the same count [`qualify_slice`] charges on the id-vector path.
+/// Refines a candidate [`SelectionBitmap`] (index candidates, a sample's
+/// rows) through the compiled conjunction chunk by chunk. Every predicate
+/// (including the first) sees only the already-selected rows, so predicate
+/// `k` is charged `popcount` of the words surviving `0..k` — the interpreter's
+/// count — and `per_batch_rows` is charged each chunk's candidate count.
 /// `chunk_capacity` is a capacity hint as in [`qualify_range_bitmap`].
 pub fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
@@ -730,23 +534,7 @@ pub struct BinnedAccum {
 /// always qualify, bigger ones only when the row count is at least a
 /// comparable fraction of the grid — a hundred rows on a 2^20-cell grid would
 /// otherwise pay an 8 MiB zero + sweep to save a hundred hash inserts.
-pub fn bin_counts(
-    grid: &BinGrid,
-    geo: &[GeoPoint],
-    qualifying: &[RecordId],
-    materialize: bool,
-) -> BinnedAccum {
-    bin_counts_iter(
-        grid,
-        geo,
-        qualifying.iter().copied(),
-        qualifying.len(),
-        materialize,
-    )
-}
-
-/// [`bin_counts`] over any ascending record-id stream (a bitmap iterator, a
-/// slice): `row_count` feeds the dense-vs-sparse heuristic, which needs the
+/// `row_count` is the length of `qualifying`: the heuristic needs the
 /// cardinality before consuming the stream.
 pub fn bin_counts_iter(
     grid: &BinGrid,
@@ -843,6 +631,7 @@ pub(crate) fn sparse_bin_accum(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::parallel;
     use crate::query::Predicate;
     use crate::schema::{ColumnType, TableSchema};
     use crate::storage::TableBuilder;
@@ -894,14 +683,35 @@ mod tests {
         }
     }
 
+    /// The reference every qualify path is checked against: the
+    /// row-at-a-time [`eval_row`] loop, charging one `seq_rows` per row.
+    fn row_loop(
+        preds: &[CompiledPredicate<'_>],
+        rids: impl Iterator<Item = RecordId>,
+    ) -> (Vec<RecordId>, WorkProfile) {
+        let mut work = WorkProfile::default();
+        let mut out = Vec::new();
+        for rid in rids {
+            work.seq_rows += 1;
+            if eval_row(preds, rid, &mut work) {
+                out.push(rid);
+            }
+        }
+        (out, work)
+    }
+
     #[test]
     fn unknown_keyword_compiles_to_always_false() {
         let t = table();
-        let compiled = compile_predicate(&Predicate::keyword(3, "missing"), &t).unwrap();
-        assert!(!compiled.eval(0));
-        let mut sel = vec![0, 1, 2];
-        compiled.filter(&mut sel);
-        assert!(sel.is_empty());
+        let compiled = [compile_predicate(&Predicate::keyword(3, "missing"), &t).unwrap()];
+        assert!(!compiled[0].eval(0));
+        let rows = t.row_count() as RecordId;
+        let mut work = WorkProfile::default();
+        let cands = SelectionBitmap::from_sorted(&[0, 1, 2]);
+        assert!(qualify_bitmap(&compiled, &cands, 0, &mut work, |_, _| {}).is_empty());
+        assert!(qualify_range_bitmap(&compiled, 0..rows, 0, &mut work, |_, _| {}).is_empty());
+        // Every candidate is still charged its one evaluation.
+        assert_eq!(work.filter_evals, 3 + rows as u64);
     }
 
     #[test]
@@ -929,30 +739,24 @@ mod tests {
             &t,
         );
         let rows = t.row_count() as RecordId;
-        let mut row_work = WorkProfile::default();
-        let mut expected = Vec::new();
-        for rid in 0..rows {
-            row_work.seq_rows += 1;
-            if eval_row(&preds, rid, &mut row_work) {
-                expected.push(rid);
-            }
-        }
+        let (expected, row_work) = row_loop(&preds, 0..rows);
         // Predicate 0 passes rows 0..=49 (timestamps 0..=490), so predicate 1 is
         // charged exactly 50 evaluations on top of predicate 0's 100.
         assert_eq!(row_work.filter_evals, 150);
 
-        // All three batch entry points agree with the short-circuiting loop.
-        let all_rids: Vec<RecordId> = (0..rows).collect();
-        let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
-        for entry in 0..3 {
+        // Every chunk entry point, sequential and morsel-parallel, agrees with
+        // the short-circuiting loop.
+        let all = SelectionBitmap::full(rows as usize);
+        let seq: fn(&mut WorkProfile, u64) = |w, n| w.seq_rows += n;
+        for entry in 0..4 {
             let mut work = WorkProfile::default();
-            let mut qualifying = Vec::new();
-            match entry {
-                0 => qualify_range(&preds, 0..rows, &mut qualifying, &mut work, seq),
-                1 => qualify_slice(&preds, &all_rids, &mut qualifying, &mut work, seq),
-                _ => qualify_batches(&preds, 0..rows, &mut qualifying, &mut work, seq),
-            }
-            assert_eq!(qualifying, expected, "entry point {entry}");
+            let got = match entry {
+                0 => qualify_range_bitmap(&preds, 0..rows, 0, &mut work, seq),
+                1 => qualify_bitmap(&preds, &all, 0, &mut work, seq),
+                2 => parallel::qualify_range_bitmap_par(&preds, 0..rows, 2, 0, &mut work, seq),
+                _ => parallel::qualify_bitmap_par(&preds, &all, 2, 0, &mut work, seq),
+            };
+            assert_eq!(got.to_vec(), expected, "entry point {entry}");
             assert_eq!(work, row_work, "entry point {entry}");
         }
     }
@@ -972,25 +776,20 @@ mod tests {
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
 
         // Full-range scan: same survivors, same work profile.
-        let mut idvec_work = WorkProfile::default();
-        let mut idvec = Vec::new();
-        qualify_range(&preds, 0..rows, &mut idvec, &mut idvec_work, seq);
+        let (expected, row_work) = row_loop(&preds, 0..rows);
         let mut bm_work = WorkProfile::default();
         let bm = qualify_range_bitmap(&preds, 0..rows, 0, &mut bm_work, seq);
-        assert_eq!(bm.to_vec(), idvec);
-        assert_eq!(bm_work, idvec_work);
+        assert_eq!(bm.to_vec(), expected);
+        assert_eq!(bm_work, row_work);
 
-        // Candidate refinement: seed with every third row, run the residual
-        // conjunction both ways.
+        // Candidate refinement: seed with every third row.
         let cands: Vec<RecordId> = (0..rows).step_by(3).collect();
-        let cand_bm = crate::bitmap::SelectionBitmap::from_sorted(&cands);
-        let mut idvec_work = WorkProfile::default();
-        let mut idvec = Vec::new();
-        qualify_slice(&preds, &cands, &mut idvec, &mut idvec_work, seq);
+        let (expected, row_work) = row_loop(&preds, cands.iter().copied());
+        let cand_bm = SelectionBitmap::from_sorted(&cands);
         let mut bm_work = WorkProfile::default();
         let refined = qualify_bitmap(&preds, &cand_bm, 0, &mut bm_work, seq);
-        assert_eq!(refined.to_vec(), idvec);
-        assert_eq!(bm_work, idvec_work);
+        assert_eq!(refined.to_vec(), expected);
+        assert_eq!(bm_work, row_work);
 
         // No predicates: the range bitmap is the identity selection.
         let empty: [CompiledPredicate<'_>; 0] = [];
@@ -1056,7 +855,7 @@ mod tests {
         let geo = t.geo_slice(2).unwrap();
         let qualifying: Vec<RecordId> = (0..t.row_count() as RecordId).collect();
         let grid = BinGrid::new(GeoRect::new(-120.0, 30.0, -110.0, 40.0), 8, 8);
-        let dense = bin_counts(&grid, geo, &qualifying, true);
+        let dense = bin_counts_iter(&grid, geo, qualifying.iter().copied(), 100, true);
         let dense_pairs = dense.pairs.expect("materialized");
         // Compare against an independent hand-rolled HashMap pass.
         let mut bins: HashMap<u32, u64> = HashMap::new();
@@ -1073,7 +872,7 @@ mod tests {
         assert!(!dense_pairs.is_empty());
         // Count-only accumulation reports the same distinct-bin count without
         // building pairs.
-        let count_only = bin_counts(&grid, geo, &qualifying, false);
+        let count_only = bin_counts_iter(&grid, geo, qualifying.iter().copied(), 100, false);
         assert_eq!(count_only.distinct_bins, dense.distinct_bins);
         assert!(count_only.pairs.is_none());
     }

@@ -16,12 +16,12 @@ use crate::exec::compiled::{self, ExecEngine};
 use crate::exec::parallel;
 use crate::exec::result::QueryResult;
 use crate::hints::JoinMethod;
-use crate::index::{intersect_adaptive, intersect_skip_charge, BPlusTree, InvertedIndex, RTree};
+use crate::index::{intersect_bitmaps, intersect_skip_charge, BPlusTree, InvertedIndex, RTree};
 use crate::plan::PhysicalPlan;
 use crate::query::{BinGrid, OutputKind, Predicate, Query};
 use crate::storage::{SampleTable, Table};
 use crate::timing::{hash_unit, WorkProfile};
-use crate::types::{GeoPoint, RecordId, TokenId};
+use crate::types::{GeoPoint, GeoRect, RecordId, TokenId};
 
 /// Borrowed view over everything the executor needs for one table.
 #[derive(Clone, Copy)]
@@ -36,49 +36,6 @@ pub struct ExecTable<'a> {
     pub inverted: &'a HashMap<usize, InvertedIndex>,
     /// Pre-built sample tables keyed by sampling percentage.
     pub samples: &'a HashMap<u32, SampleTable>,
-}
-
-/// Phase-1 candidate selection: either "scan everything" or the rows surviving
-/// the plan's index predicates, in the representation the engine works in.
-enum Candidates {
-    /// No index predicates — phase 2 runs a sequential scan.
-    Seq,
-    /// Sorted record ids (interpreter and compiled id-vector engines).
-    Ids(Vec<RecordId>),
-    /// Bitmap selection (compiled bitmap engine); shared when it is one
-    /// index's stored postings.
-    Bitmap(Arc<SelectionBitmap>),
-}
-
-/// Phase-2 output: the qualifying rows, still in engine representation. Both
-/// variants enumerate ids in ascending order, so the output phases are
-/// representation-agnostic.
-enum Qualified {
-    Ids(Vec<RecordId>),
-    Bitmap(SelectionBitmap),
-}
-
-impl Qualified {
-    fn len(&self) -> usize {
-        match self {
-            Qualified::Ids(v) => v.len(),
-            Qualified::Bitmap(b) => b.len(),
-        }
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = RecordId> + '_> {
-        match self {
-            Qualified::Ids(v) => Box::new(v.iter().copied()),
-            Qualified::Bitmap(b) => Box::new(b.iter()),
-        }
-    }
-
-    fn into_ids(self) -> Vec<RecordId> {
-        match self {
-            Qualified::Ids(v) => v,
-            Qualified::Bitmap(b) => b.to_vec(),
-        }
-    }
 }
 
 /// The outcome of executing a plan.
@@ -118,14 +75,15 @@ pub fn execute(
 
 /// [`execute`] with an explicit choice of execution engine.
 ///
-/// The compiled engines lower the residual predicates once and bin bounded
-/// grids densely; the id-vector variant evaluates them over record-id batches
-/// with a selection-vector loop, the bitmap variant carries candidates as
-/// [`SelectionBitmap`]s and refines 4096-row chunks over 64-bit words. All
-/// three are observationally identical (same [`QueryResult`] bytes, same
-/// [`WorkProfile`]), which the `exec_equivalence` property suite pins. Queries
-/// whose predicates cannot compile (type mismatch, bad attribute) silently
-/// take the interpreter path so error behaviour is identical too.
+/// Every candidate set — the rows an index plan's scans leave, the whole
+/// table, a sample's rows — is a [`SelectionBitmap`]. The compiled engine
+/// lowers the residual predicates once, refines the candidates 4096-row chunk
+/// by chunk over 64-bit words and bins bounded grids densely; the interpreter
+/// evaluates each candidate row by row. Both are observationally identical
+/// (same [`QueryResult`] bytes, same [`WorkProfile`]) at every thread count,
+/// which the `exec_equivalence` and `parallel_equivalence` suites pin.
+/// Queries whose predicates cannot compile (type mismatch, bad attribute)
+/// silently take the interpreter loop so error behaviour is identical too.
 pub fn execute_with(
     query: &Query,
     plan: &PhysicalPlan,
@@ -137,368 +95,118 @@ pub fn execute_with(
 ) -> Result<ExecOutcome> {
     validate_output(query)?;
     let mut work = WorkProfile::default();
-
-    // Normalise the parallel engine: `ParallelBitmap` *is* the compiled bitmap
-    // engine plus a worker count. Every engine decision below keys off
-    // `engine == CompiledBitmap`; the morsel-parallel branches additionally key
-    // off `par_threads > 1` and are byte-identical to the sequential ones by
-    // the `exec::parallel` determinism contract.
-    let (engine, par_threads) = match engine {
-        ExecEngine::ParallelBitmap { threads } => (ExecEngine::CompiledBitmap, threads.max(1)),
-        other => (other, 1),
-    };
-
-    // Resolve the row restriction induced by sampling approximation rules.
+    let threads = engine.threads();
     let restriction = SampleRestriction::resolve(plan, fact)?;
+    let row_count = fact.table.row_count() as RecordId;
 
-    // Phase 1: candidate record ids on the fact table, in engine representation.
-    let candidates = if plan.index_preds.is_empty() {
-        Candidates::Seq // sequential scan handled in phase 2
-    } else if engine == ExecEngine::CompiledBitmap {
-        Candidates::Bitmap(index_candidates_bitmap(
-            query,
-            plan,
-            fact,
-            &restriction,
-            &mut work,
-        )?)
+    // Phase 1: the candidate rows. A sequential scan visits the (possibly
+    // sampled) table and evaluates every predicate, charging `seq_rows`; an
+    // index plan fetches the rows its index scans leave and evaluates the
+    // residual predicates, charging `heap_fetches`. `None` is the whole
+    // table, built as a bitmap only when a path needs one.
+    let seq_scan = plan.index_preds.is_empty();
+    let candidates = if seq_scan {
+        restriction.scan_rows(row_count).map(Arc::new)
     } else {
-        Candidates::Ids(index_candidates(
+        Some(index_candidates(
             query,
             plan,
             fact,
             &restriction,
+            engine,
             &mut work,
         )?)
     };
+    let all_preds: Vec<usize>;
+    let pred_indices: &[usize] = if seq_scan {
+        all_preds = (0..query.predicate_count()).collect();
+        &all_preds
+    } else {
+        &plan.filter_preds
+    };
+    let batch_charge: fn(&mut WorkProfile, u64) = if seq_scan {
+        |w, rows| w.seq_rows += rows
+    } else {
+        |w, rows| w.heap_fetches += rows
+    };
+    let row_charge: fn(&mut WorkProfile) = if seq_scan {
+        |w| w.seq_rows += 1
+    } else {
+        |w| w.heap_fetches += 1
+    };
 
-    // Phase 2: qualify rows (residual predicates), honouring the LIMIT cap.
-    // Id vectors are pre-sized from the planner's cardinality estimate instead
-    // of growing from empty (bounded by the cap and the table itself).
+    // Phase 2: qualify rows, honouring the LIMIT cap. Output chunks cannot
+    // exceed the candidate chunks or (one row per chunk at worst) the
+    // estimated rows, which pre-size the result.
     let cap = limit_rows.unwrap_or(usize::MAX).max(1);
     let reserve = (plan.est_rows as usize)
         .min(cap)
-        .min(fact.table.row_count());
-    let mut qualified = match candidates {
-        Candidates::Ids(cands) => {
-            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-            let residual = compile_residual(query, &plan.filter_preds, fact, engine);
-            match residual {
-                // Uncapped: every candidate is heap-fetched, so batches are exact.
-                Some(preds) if limit_rows.is_none() => compiled::qualify_slice(
-                    &preds,
-                    &cands,
-                    &mut qualifying,
-                    &mut work,
-                    |w, rows| w.heap_fetches += rows,
-                ),
+        .min(fact.table.row_count())
+        .max(1);
+    let residual = compile_residual(query, pred_indices, fact, engine);
+    let mut qualified = match (residual, candidates) {
+        // Uncapped, unrestricted sequential scan: the columnar word-fill
+        // kernel over the contiguous row range — the hottest shape.
+        (Some(preds), None) if limit_rows.is_none() => parallel::qualify_range_bitmap_par(
+            &preds,
+            0..row_count,
+            threads,
+            (row_count as usize).div_ceil(CHUNK_BITS).min(reserve),
+            &mut work,
+            batch_charge,
+        ),
+        // Uncapped: refine the candidates chunk by chunk, each candidate
+        // charged through its chunk's popcount.
+        (Some(preds), Some(cands)) if limit_rows.is_none() => parallel::qualify_bitmap_par(
+            &preds,
+            &cands,
+            threads,
+            cands.chunk_count().min(reserve),
+            &mut work,
+            batch_charge,
+        ),
+        (residual, cands) => {
+            let cands =
+                cands.unwrap_or_else(|| Arc::new(SelectionBitmap::full(row_count as usize)));
+            let qualifying = match residual {
                 // Capped: row-at-a-time so rows past the cap stay untouched,
                 // exactly like the interpreter.
-                Some(preds) => {
-                    for rid in cands {
-                        work.heap_fetches += 1;
-                        if compiled::eval_row(&preds, rid, &mut work) {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let tokens = resolve_keyword_tokens(query, fact.table);
-                    for rid in cands {
-                        work.heap_fetches += 1;
-                        if eval_preds(
-                            query,
-                            &plan.filter_preds,
-                            &tokens,
-                            fact.table,
-                            rid,
-                            &mut work,
-                        )? {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Qualified::Ids(qualifying)
-        }
-        Candidates::Bitmap(cands) => {
-            let residual = compile_residual(query, &plan.filter_preds, fact, engine);
-            match residual {
-                // Uncapped: refine the candidate bitmap chunk-by-chunk; every
-                // candidate is heap-fetched, charged per chunk popcount.
-                Some(preds) if limit_rows.is_none() => {
-                    Qualified::Bitmap(if par_threads > 1 {
-                        parallel::qualify_bitmap_par(
-                            &preds,
-                            &cands,
-                            par_threads,
-                            &mut work,
-                            |w, rows| w.heap_fetches += rows,
-                        )
-                    } else {
-                        // Output chunks cannot exceed the candidate chunks or
-                        // (one row per chunk at worst) the estimated rows.
-                        let chunk_hint = cands.chunk_count().min(reserve.max(1));
-                        compiled::qualify_bitmap(
-                            &preds,
-                            &cands,
-                            chunk_hint,
-                            &mut work,
-                            |w, rows| w.heap_fetches += rows,
-                        )
-                    })
-                }
-                // Capped: row-at-a-time over the bitmap iterator so rows past
-                // the cap stay untouched, exactly like the interpreter.
-                Some(preds) => {
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    if par_threads > 1 {
-                        parallel::qualify_capped_bitmap_par(
-                            &preds,
-                            &cands,
-                            cap,
-                            |w| w.heap_fetches += 1,
-                            par_threads,
-                            &mut work,
-                            &mut qualifying,
-                        );
-                    } else {
-                        for rid in cands.iter() {
-                            work.heap_fetches += 1;
-                            if compiled::eval_row(&preds, rid, &mut work) {
-                                qualifying.push(rid);
-                                if qualifying.len() >= cap {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-                // Uncompilable residual: interpreter loop over the bitmap
-                // iterator (same ascending order as the id-vector path).
+                Some(preds) => parallel::qualify_capped_bitmap_par(
+                    &preds, &cands, cap, row_charge, threads, &mut work,
+                ),
+                // The interpreter, or predicates that cannot compile.
                 None => {
                     let tokens = resolve_keyword_tokens(query, fact.table);
                     let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
                     for rid in cands.iter() {
-                        work.heap_fetches += 1;
-                        if eval_preds(
-                            query,
-                            &plan.filter_preds,
-                            &tokens,
-                            fact.table,
-                            rid,
-                            &mut work,
-                        )? {
+                        row_charge(&mut work);
+                        if eval_preds(query, pred_indices, &tokens, fact.table, rid, &mut work)? {
                             qualifying.push(rid);
                             if qualifying.len() >= cap {
                                 break;
                             }
                         }
                     }
-                    Qualified::Ids(qualifying)
-                }
-            }
-        }
-        Candidates::Seq => {
-            // Sequential scan over the (possibly sampled) table.
-            let row_count = fact.table.row_count() as RecordId;
-            let boxed_iter = || -> Box<dyn Iterator<Item = RecordId> + '_> {
-                match &restriction {
-                    SampleRestriction::All => Box::new(0..row_count),
-                    SampleRestriction::SampleRows(rows) => Box::new(rows.iter().copied()),
-                    SampleRestriction::HashFraction(frac) => {
-                        let frac = *frac;
-                        Box::new(
-                            (0..row_count)
-                                .filter(move |&rid| hash_unit(rid as u64 ^ 0x5EED) < frac),
-                        )
-                    }
+                    qualifying
                 }
             };
-            let all_preds: Vec<usize> = (0..query.predicate_count()).collect();
-            let residual = compile_residual(query, &all_preds, fact, engine);
-            match residual {
-                // Uncapped: the batch entry point matching the restriction shape
-                // (contiguous range, materialised id list, filtered stream). The
-                // bitmap engine takes the columnar word-fill kernel on the
-                // unrestricted contiguous scan — the hottest shape — and the
-                // id-vector entry points on sampled scans, whose accounting is
-                // identical by construction.
-                Some(preds) if limit_rows.is_none() => {
-                    let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
-                    match &restriction {
-                        SampleRestriction::All if engine == ExecEngine::CompiledBitmap => {
-                            Qualified::Bitmap(if par_threads > 1 {
-                                parallel::qualify_range_bitmap_par(
-                                    &preds,
-                                    0..row_count,
-                                    par_threads,
-                                    &mut work,
-                                    seq,
-                                )
-                            } else {
-                                let chunks = (row_count as usize).div_ceil(CHUNK_BITS);
-                                compiled::qualify_range_bitmap(
-                                    &preds,
-                                    0..row_count,
-                                    chunks.min(reserve.max(1)),
-                                    &mut work,
-                                    seq,
-                                )
-                            })
-                        }
-                        SampleRestriction::All => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            compiled::qualify_range(
-                                &preds,
-                                0..row_count,
-                                &mut qualifying,
-                                &mut work,
-                                seq,
-                            );
-                            Qualified::Ids(qualifying)
-                        }
-                        SampleRestriction::SampleRows(rows) => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            if par_threads > 1 {
-                                parallel::qualify_slice_par(
-                                    &preds,
-                                    rows,
-                                    par_threads,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            } else {
-                                compiled::qualify_slice(
-                                    &preds,
-                                    rows,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            }
-                            Qualified::Ids(qualifying)
-                        }
-                        SampleRestriction::HashFraction(_) => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            if par_threads > 1 {
-                                // Materialising the filtered stream is uncharged
-                                // on both engines, and slice morsels batch ids in
-                                // the same 1024-row groups as the stream entry
-                                // point — identical charges by construction.
-                                let ids: Vec<RecordId> = boxed_iter().collect();
-                                parallel::qualify_slice_par(
-                                    &preds,
-                                    &ids,
-                                    par_threads,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            } else {
-                                compiled::qualify_batches(
-                                    &preds,
-                                    boxed_iter(),
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            }
-                            Qualified::Ids(qualifying)
-                        }
-                    }
-                }
-                Some(preds) => {
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    if par_threads > 1 {
-                        let charge: fn(&mut WorkProfile) = |w| w.seq_rows += 1;
-                        match &restriction {
-                            SampleRestriction::All => parallel::qualify_capped_range_par(
-                                &preds,
-                                0..row_count,
-                                cap,
-                                charge,
-                                par_threads,
-                                &mut work,
-                                &mut qualifying,
-                            ),
-                            SampleRestriction::SampleRows(rows) => {
-                                parallel::qualify_capped_slice_par(
-                                    &preds,
-                                    rows,
-                                    cap,
-                                    charge,
-                                    par_threads,
-                                    &mut work,
-                                    &mut qualifying,
-                                )
-                            }
-                            SampleRestriction::HashFraction(_) => {
-                                let ids: Vec<RecordId> = boxed_iter().collect();
-                                parallel::qualify_capped_slice_par(
-                                    &preds,
-                                    &ids,
-                                    cap,
-                                    charge,
-                                    par_threads,
-                                    &mut work,
-                                    &mut qualifying,
-                                )
-                            }
-                        }
-                    } else {
-                        for rid in boxed_iter() {
-                            work.seq_rows += 1;
-                            if compiled::eval_row(&preds, rid, &mut work) {
-                                qualifying.push(rid);
-                                if qualifying.len() >= cap {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-                None => {
-                    let tokens = resolve_keyword_tokens(query, fact.table);
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    for rid in boxed_iter() {
-                        work.seq_rows += 1;
-                        if eval_preds(query, &all_preds, &tokens, fact.table, rid, &mut work)? {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-            }
+            SelectionBitmap::from_sorted(&qualifying)
         }
     };
 
-    // Phase 3: join with the dimension table (id-vector representation — join
-    // probing is inherently row-at-a-time).
+    // Phase 3: join with the dimension table (join probing is inherently
+    // row-at-a-time; every join method returns its fact rows ascending).
     if let Some(join_plan) = &plan.join {
         let spec = query
             .join
             .as_ref()
             .ok_or_else(|| Error::InvalidQuery("plan has a join but the query does not".into()))?;
         let dim = dim.ok_or_else(|| Error::TableNotFound(join_plan.right_table.clone()))?;
-        let fact_rows = qualified.into_ids();
-        qualified = Qualified::Ids(execute_join(
+        qualified = SelectionBitmap::from_sorted(&execute_join(
             query,
             join_plan.method,
             spec,
-            &fact_rows,
+            &qualified.to_vec(),
             fact,
             dim,
             engine,
@@ -508,8 +216,7 @@ pub fn execute_with(
 
     let result_rows = qualified.len();
 
-    // Phase 4: shape the output. Both representations enumerate ids ascending,
-    // so the output bytes cannot depend on the engine.
+    // Phase 4: shape the output from the ascending qualified ids.
     let result = match &query.output {
         OutputKind::Points {
             id_attr,
@@ -526,19 +233,7 @@ pub fn execute_with(
                     match fact.table.geo_slice(*point_attr) {
                         Ok(geo) => {
                             let ids = fact.table.int_slice(*id_attr).ok();
-                            match (&qualified, par_threads > 1) {
-                                (Qualified::Bitmap(b), true) => {
-                                    parallel::gather_points_par(b, ids, geo, par_threads)
-                                }
-                                _ => {
-                                    let mut points = Vec::with_capacity(result_rows);
-                                    for rid in qualified.iter() {
-                                        let id = ids.map_or(rid as i64, |s| s[rid as usize]);
-                                        points.push((id, geo[rid as usize]));
-                                    }
-                                    points
-                                }
-                            }
+                            parallel::gather_points_par(&qualified, ids, geo, threads)
                         }
                         Err(_) => gather_points_rows(
                             fact.table,
@@ -563,18 +258,9 @@ pub fn execute_with(
                 // falls back to the per-row path, which reports the same error
                 // the interpreter would.
                 match fact.table.geo_slice(*point_attr) {
-                    Ok(geo) => match (&qualified, par_threads > 1) {
-                        (Qualified::Bitmap(b), true) => {
-                            parallel::bin_counts_par(grid, geo, b, materialize, par_threads)
-                        }
-                        _ => compiled::bin_counts_iter(
-                            grid,
-                            geo,
-                            qualified.iter(),
-                            result_rows,
-                            materialize,
-                        ),
-                    },
+                    Ok(geo) => {
+                        parallel::bin_counts_par(grid, geo, &qualified, materialize, threads)
+                    }
                     Err(_) => binned_accum(
                         fact.table,
                         *point_attr,
@@ -641,14 +327,14 @@ fn compile_residual<'a>(
 }
 
 /// Interpreter-path `Points` materialisation: per-row accessors with error
-/// propagation, also the compiled engines' fallback when the geo column fails
+/// propagation, also the compiled engine's fallback when the geo column fails
 /// to bind (so the binding error surfaces on the same row it would on the
 /// interpreter).
 fn gather_points_rows(
     table: &Table,
     id_attr: usize,
     point_attr: usize,
-    qualified: &Qualified,
+    qualified: &SelectionBitmap,
     result_rows: usize,
 ) -> Result<Vec<(i64, GeoPoint)>> {
     let mut points = Vec::with_capacity(result_rows);
@@ -709,214 +395,177 @@ impl<'a> SampleRestriction<'a> {
         }
     }
 
-    fn filter(&self, rids: Vec<RecordId>) -> Vec<RecordId> {
+    /// Whether the restriction keeps row `rid`.
+    fn keeps(&self, rid: RecordId) -> bool {
         match self {
-            SampleRestriction::All => rids,
-            SampleRestriction::SampleRows(rows) => rids
-                .into_iter()
-                .filter(|rid| rows.binary_search(rid).is_ok())
-                .collect(),
-            SampleRestriction::HashFraction(frac) => rids
-                .into_iter()
-                .filter(|&rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
-                .collect(),
+            SampleRestriction::All => true,
+            SampleRestriction::SampleRows(rows) => rows.binary_search(&rid).is_ok(),
+            SampleRestriction::HashFraction(frac) => hash_unit(rid as u64 ^ 0x5EED) < *frac,
+        }
+    }
+
+    /// The rows a sequential scan over a table of `row_count` rows visits;
+    /// `None` is every row.
+    fn scan_rows(&self, row_count: RecordId) -> Option<SelectionBitmap> {
+        match self {
+            SampleRestriction::All => None,
+            SampleRestriction::SampleRows(rows) => Some(SelectionBitmap::from_sorted(rows)),
+            SampleRestriction::HashFraction(_) => {
+                let mut rows = SelectionBitmap::full(row_count as usize);
+                rows.retain(|rid| self.keeps(rid));
+                Some(rows)
+            }
         }
     }
 }
 
-/// Runs the index scans of the plan, intersects the record-id lists and applies the
-/// sample restriction.
+/// Runs the plan's index scans, intersects them and applies the sample
+/// restriction. Each scan is charged its probe and entries
+/// ([`crate::index::ScanStats`]), the intersection [`intersect_skip_charge`]
+/// over the scans' lengths. The compiled engine scans into bitmaps and ANDs
+/// them ([`intersect_bitmaps`]). The interpreter keeps its own path — `Vec`
+/// scans, a sorted merge and a per-id restriction filter — so the equivalence
+/// suites check the compiled candidates against an independent reference.
 fn index_candidates(
     query: &Query,
     plan: &PhysicalPlan,
     fact: &ExecTable<'_>,
     restriction: &SampleRestriction<'_>,
-    work: &mut WorkProfile,
-) -> Result<Vec<RecordId>> {
-    let mut lists: Vec<Vec<RecordId>> = Vec::with_capacity(plan.index_preds.len());
-    for &pred_idx in &plan.index_preds {
-        let pred = query
-            .predicates
-            .get(pred_idx)
-            .ok_or(Error::InvalidAttribute(pred_idx))?;
-        let rids = scan_index(pred, fact, work)?;
-        lists.push(rids);
-    }
-    if lists.len() > 1 {
-        // Charge the skip/gallop model the executor actually runs — the same
-        // formula (intersect_skip_charge) the optimizer's predict_work uses,
-        // so charged intersection work always matches predicted work.
-        let lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
-        work.intersect_entries += intersect_skip_charge(&lens);
-    }
-    let candidates = intersect_adaptive(&lists);
-    Ok(restriction.filter(candidates))
-}
-
-/// Bitmap-engine twin of [`index_candidates`]: runs the plan's index scans as
-/// bitmap lookups, intersects with word-wise AND (smallest first, early-out on
-/// empty) and applies the sample restriction. Probe/entry/intersect accounting
-/// is identical to the id-vector path — the bitmap lookups report the same
-/// [`crate::index::ScanStats`] and the intersection charge is the same
-/// [`intersect_skip_charge`] over the same list lengths.
-fn index_candidates_bitmap(
-    query: &Query,
-    plan: &PhysicalPlan,
-    fact: &ExecTable<'_>,
-    restriction: &SampleRestriction<'_>,
+    engine: ExecEngine,
     work: &mut WorkProfile,
 ) -> Result<Arc<SelectionBitmap>> {
-    let mut lists: Vec<Arc<SelectionBitmap>> = Vec::with_capacity(plan.index_preds.len());
-    for &pred_idx in &plan.index_preds {
-        let pred = query
-            .predicates
-            .get(pred_idx)
-            .ok_or(Error::InvalidAttribute(pred_idx))?;
-        lists.push(scan_index_bitmap(pred, fact, work)?);
-    }
-    if lists.len() > 1 {
-        let lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
+    let preds = plan
+        .index_preds
+        .iter()
+        .map(|&i| query.predicates.get(i).ok_or(Error::InvalidAttribute(i)));
+    if engine.is_compiled() {
+        let mut sets = Vec::with_capacity(plan.index_preds.len());
+        for pred in preds {
+            sets.push(scan_index_bitmap(pred?, fact, work)?);
+        }
+        let lens: Vec<usize> = sets.iter().map(|s| s.len()).collect();
         work.intersect_entries += intersect_skip_charge(&lens);
-    }
-    lists.sort_by_key(|l| l.len());
-    let mut iter = lists.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for list in iter {
-        if acc.is_empty() {
-            break;
+        let mut candidates = intersect_bitmaps(sets);
+        if !matches!(restriction, SampleRestriction::All) {
+            Arc::make_mut(&mut candidates).retain(|rid| restriction.keeps(rid));
         }
-        acc = Arc::new(acc.and(&list));
-    }
-    match restriction {
-        SampleRestriction::All => {}
-        SampleRestriction::SampleRows(rows) => {
-            Arc::make_mut(&mut acc).retain(|rid| rows.binary_search(&rid).is_ok())
+        Ok(candidates)
+    } else {
+        let mut lists = Vec::with_capacity(plan.index_preds.len());
+        for pred in preds {
+            lists.push(scan_index_ids(pred?, fact, work)?);
         }
-        SampleRestriction::HashFraction(frac) => {
-            Arc::make_mut(&mut acc).retain(|rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
+        let lens: Vec<usize> = lists.iter().map(Vec::len).collect();
+        work.intersect_entries += intersect_skip_charge(&lens);
+        let mut lists = lists.into_iter();
+        let mut ids = lists.next().unwrap_or_default();
+        for list in lists {
+            ids = merge_common(&ids, &list);
         }
+        ids.retain(|&rid| restriction.keeps(rid));
+        Ok(Arc::new(SelectionBitmap::from_sorted(&ids)))
     }
-    Ok(acc)
 }
 
-/// Bitmap-engine twin of [`scan_index`]: same index lookups, same error and
-/// [`WorkProfile`] behaviour, bitmap output. A keyword scan shares the
-/// token's stored postings instead of building a set.
+/// The ids two ascending lists share, by a two-pointer merge.
+fn merge_common(a: &[RecordId], b: &[RecordId]) -> Vec<RecordId> {
+    let mut out = Vec::with_capacity(a.len().min(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The index that answers an index predicate, with its probe bounds.
+enum IndexProbe<'a> {
+    /// An inverted index and the keyword's token (`None`: not in the
+    /// dictionary, so no row matches).
+    Keyword(&'a InvertedIndex, Option<TokenId>),
+    Range(&'a BPlusTree, i64, i64),
+    Spatial(&'a RTree, GeoRect),
+}
+
+/// Finds the index that answers `pred`, charging one probe.
+fn index_probe<'a>(
+    pred: &Predicate,
+    fact: &ExecTable<'a>,
+    work: &mut WorkProfile,
+) -> Result<IndexProbe<'a>> {
+    work.index_probes += 1;
+    let attr = pred.attr();
+    let missing = || Error::IndexMissing {
+        table: fact.table.name().to_string(),
+        column: column_name(fact.table, attr),
+    };
+    Ok(match pred {
+        Predicate::KeywordContains { keyword, .. } => IndexProbe::Keyword(
+            fact.inverted.get(&attr).ok_or_else(missing)?,
+            fact.table.dictionary().lookup(keyword),
+        ),
+        Predicate::TimeRange { range, .. } => IndexProbe::Range(
+            fact.btree.get(&attr).ok_or_else(missing)?,
+            range.start,
+            range.end,
+        ),
+        Predicate::NumericRange { range, .. } => IndexProbe::Range(
+            fact.btree.get(&attr).ok_or_else(missing)?,
+            BPlusTree::float_key(range.lo),
+            BPlusTree::float_key(range.hi),
+        ),
+        Predicate::SpatialRange { rect, .. } => {
+            IndexProbe::Spatial(fact.rtree.get(&attr).ok_or_else(missing)?, *rect)
+        }
+    })
+}
+
+/// Scans the index matching `pred` and returns the matching record ids as a
+/// bitmap. A keyword scan shares the token's stored postings instead of
+/// building a set.
 pub(crate) fn scan_index_bitmap(
     pred: &Predicate,
     fact: &ExecTable<'_>,
     work: &mut WorkProfile,
 ) -> Result<Arc<SelectionBitmap>> {
-    work.index_probes += 1;
-    let attr = pred.attr();
-    match pred {
-        Predicate::KeywordContains { keyword, .. } => {
-            let index = fact
-                .inverted
-                .get(&attr)
-                .ok_or_else(|| Error::IndexMissing {
-                    table: fact.table.name().to_string(),
-                    column: column_name(fact.table, attr),
-                })?;
-            match fact.table.dictionary().lookup(keyword) {
-                Some(token) => {
-                    let (bm, stats) = index.lookup_shared(token);
-                    work.index_entries += stats.matches as u64;
-                    Ok(bm)
-                }
-                None => Ok(Arc::default()),
-            }
+    let (rows, stats) = match index_probe(pred, fact, work)? {
+        IndexProbe::Keyword(index, Some(token)) => index.lookup_shared(token),
+        IndexProbe::Keyword(_, None) => Default::default(),
+        IndexProbe::Range(index, lo, hi) => {
+            let (rows, stats) = index.range_scan_bitmap(lo, hi);
+            (Arc::new(rows), stats)
         }
-        Predicate::TimeRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(range.start, range.end);
-            work.index_entries += stats.matches as u64;
-            Ok(Arc::new(bm))
+        IndexProbe::Spatial(index, rect) => {
+            let (rows, stats) = index.range_scan_bitmap(&rect);
+            (Arc::new(rows), stats)
         }
-        Predicate::NumericRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(
-                BPlusTree::float_key(range.lo),
-                BPlusTree::float_key(range.hi),
-            );
-            work.index_entries += stats.matches as u64;
-            Ok(Arc::new(bm))
-        }
-        Predicate::SpatialRange { rect, .. } => {
-            let index = fact.rtree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(rect);
-            work.index_entries += stats.matches as u64;
-            Ok(Arc::new(bm))
-        }
-    }
+    };
+    work.index_entries += stats.matches as u64;
+    Ok(rows)
 }
 
-/// Scans the index matching `pred` and returns the matching record ids.
-fn scan_index(
+/// The interpreter's [`scan_index_bitmap`]: the same probe and charge, the
+/// matching record ids as an ascending `Vec`.
+fn scan_index_ids(
     pred: &Predicate,
     fact: &ExecTable<'_>,
     work: &mut WorkProfile,
 ) -> Result<Vec<RecordId>> {
-    work.index_probes += 1;
-    let attr = pred.attr();
-    match pred {
-        Predicate::KeywordContains { keyword, .. } => {
-            let index = fact
-                .inverted
-                .get(&attr)
-                .ok_or_else(|| Error::IndexMissing {
-                    table: fact.table.name().to_string(),
-                    column: column_name(fact.table, attr),
-                })?;
-            match fact.table.dictionary().lookup(keyword) {
-                Some(token) => {
-                    let (rids, stats) = index.lookup(token);
-                    work.index_entries += stats.matches as u64;
-                    Ok(rids)
-                }
-                None => Ok(Vec::new()),
-            }
-        }
-        Predicate::TimeRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(range.start, range.end);
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-        Predicate::NumericRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(
-                BPlusTree::float_key(range.lo),
-                BPlusTree::float_key(range.hi),
-            );
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-        Predicate::SpatialRange { rect, .. } => {
-            let index = fact.rtree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(rect);
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-    }
+    let (rows, stats) = match index_probe(pred, fact, work)? {
+        IndexProbe::Keyword(index, Some(token)) => index.lookup(token),
+        IndexProbe::Keyword(_, None) => Default::default(),
+        IndexProbe::Range(index, lo, hi) => index.range_scan(lo, hi),
+        IndexProbe::Spatial(index, rect) => index.range_scan(&rect),
+    };
+    work.index_entries += stats.matches as u64;
+    Ok(rows)
 }
 
 fn column_name(table: &Table, attr: usize) -> String {
@@ -997,7 +646,7 @@ pub(crate) fn eval_predicate(pred: &Predicate, table: &Table, rid: RecordId) -> 
 /// Executes the join of qualifying fact rows with the dimension table and returns the
 /// fact rows whose dimension match passes the dimension predicates.
 ///
-/// On the compiled engines the dimension predicates are lowered once via
+/// On the compiled engine the dimension predicates are lowered once via
 /// [`compiled::compile_predicates`] and evaluated with [`compiled::eval_row`]
 /// (same per-predicate `filter_evals` charge, same short-circuit order); a
 /// failed compilation falls back to the interpreter loop so error behaviour
@@ -1329,14 +978,10 @@ mod tests {
         // Index the time and spatial predicates; keyword stays residual.
         let plan = plan_with(&f, &q, 0b110);
         assert_eq!(plan.index_preds.len(), 2, "expected a multi-index plan");
-        let outs: Vec<ExecOutcome> = [
-            ExecEngine::Interpreted,
-            ExecEngine::CompiledIdVec,
-            ExecEngine::CompiledBitmap,
-        ]
-        .into_iter()
-        .map(|e| execute_with(&q, &plan, &exec_t, None, None, true, e).unwrap())
-        .collect();
+        let outs: Vec<ExecOutcome> = [ExecEngine::Interpreted, ExecEngine::default()]
+            .into_iter()
+            .map(|e| execute_with(&q, &plan, &exec_t, None, None, true, e).unwrap())
+            .collect();
         for out in &outs[1..] {
             assert_eq!(out.result, outs[0].result);
             assert_eq!(out.work, outs[0].work);
@@ -1426,6 +1071,140 @@ mod tests {
         let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
         let kept = out.result_rows as f64 / 1000.0;
         assert!((0.3..0.7).contains(&kept), "kept fraction {kept}");
+    }
+
+    /// A sampled sequential scan visits exactly the sample's rows — a
+    /// `SampleTable`'s ids, or the rows the `TABLESAMPLE` hash keeps — in id
+    /// order, and charges each visited row to `seq_rows`, never to
+    /// `heap_fetches`, on every engine, with and without a LIMIT cap.
+    #[test]
+    fn sampled_seq_scans_charge_seq_rows_per_kept_row() {
+        let f = tweets_fixture();
+        let q = Query::select("tweets")
+            .filter(Predicate::time_range(1, 100, 899))
+            .output(OutputKind::Points {
+                id_attr: 0,
+                point_attr: 2,
+            });
+        let mut plan = plan_with(&f, &q, 0);
+        assert!(plan.index_preds.is_empty(), "expected a sequential scan");
+        let hash_kept: Vec<RecordId> = (0..1000)
+            .filter(|&rid| hash_unit(rid as u64 ^ 0x5EED) < 0.5)
+            .collect();
+        for (rule, visited) in [
+            (
+                ApproxRule::SampleTable { fraction_pct: 20 },
+                f.samples[&20].row_ids().to_vec(),
+            ),
+            (ApproxRule::TableSample { fraction_pct: 50 }, hash_kept),
+        ] {
+            plan.approx = Some(rule);
+            let matches: Vec<RecordId> = visited
+                .iter()
+                .copied()
+                .filter(|rid| (100..=899).contains(rid))
+                .collect();
+            let cap = 5;
+            let stop = visited.iter().position(|&r| r == matches[cap - 1]).unwrap() + 1;
+            for engine in [
+                ExecEngine::Interpreted,
+                ExecEngine::default(),
+                ExecEngine::Compiled { threads: 4 },
+            ] {
+                for (limit, rows, seq_rows) in [
+                    (None, &matches[..], visited.len()),
+                    (Some(cap), &matches[..cap], stop),
+                ] {
+                    let out = execute_with(&q, &plan, &f.exec_table(), None, limit, true, engine)
+                        .unwrap();
+                    let what = format!("{rule:?} {engine:?} limit {limit:?}");
+                    let ids: Vec<RecordId> = match &out.result {
+                        QueryResult::Points(points) => {
+                            points.iter().map(|&(id, _)| id as RecordId).collect()
+                        }
+                        other => panic!("unexpected result {other:?}"),
+                    };
+                    assert_eq!(ids, rows, "{what}");
+                    assert_eq!(out.work.seq_rows, seq_rows as u64, "{what}");
+                    assert_eq!(out.work.filter_evals, seq_rows as u64, "{what}");
+                    assert_eq!(out.work.heap_fetches, 0, "{what}");
+                }
+            }
+        }
+    }
+
+    /// A sampled index plan fetches exactly the index matches the sample
+    /// keeps — a `SampleTable`'s ids, or the rows the `TABLESAMPLE` hash keeps
+    /// — in id order, and charges each fetched row to `heap_fetches`, never to
+    /// `seq_rows`, on every engine, with and without a LIMIT cap, whether the
+    /// keyword is a residual or a second index scan.
+    #[test]
+    fn sampled_index_scans_charge_heap_fetches_per_kept_row() {
+        let f = tweets_fixture();
+        let q = Query::select("tweets")
+            .filter(Predicate::time_range(1, 100, 899))
+            .filter(Predicate::keyword(3, "covid"))
+            .output(OutputKind::Points {
+                id_attr: 0,
+                point_attr: 2,
+            });
+        let hash_kept: Vec<RecordId> = (0..1000)
+            .filter(|&rid| hash_unit(rid as u64 ^ 0x5EED) < 0.5)
+            .collect();
+        for (mask, index_preds, residuals) in [(0b01, vec![0], 1), (0b11, vec![0, 1], 0)] {
+            let mut plan = plan_with(&f, &q, mask);
+            assert_eq!(plan.index_preds, index_preds, "mask {mask:#b}");
+            for (rule, kept) in [
+                (
+                    ApproxRule::SampleTable { fraction_pct: 20 },
+                    f.samples[&20].row_ids().to_vec(),
+                ),
+                (
+                    ApproxRule::TableSample { fraction_pct: 50 },
+                    hash_kept.clone(),
+                ),
+            ] {
+                plan.approx = Some(rule);
+                let fetched: Vec<RecordId> = kept
+                    .iter()
+                    .copied()
+                    .filter(|rid| (100..=899).contains(rid) && (residuals == 1 || rid % 4 == 0))
+                    .collect();
+                let matches: Vec<RecordId> =
+                    fetched.iter().copied().filter(|rid| rid % 4 == 0).collect();
+                let cap = 5;
+                let stop = fetched.iter().position(|&r| r == matches[cap - 1]).unwrap() + 1;
+                for engine in [
+                    ExecEngine::Interpreted,
+                    ExecEngine::default(),
+                    ExecEngine::Compiled { threads: 4 },
+                ] {
+                    for (limit, rows, heap_fetches) in [
+                        (None, &matches[..], fetched.len()),
+                        (Some(cap), &matches[..cap], stop),
+                    ] {
+                        let out =
+                            execute_with(&q, &plan, &f.exec_table(), None, limit, true, engine)
+                                .unwrap();
+                        let what = format!("mask {mask:#b} {rule:?} {engine:?} limit {limit:?}");
+                        let ids: Vec<RecordId> = match &out.result {
+                            QueryResult::Points(points) => {
+                                points.iter().map(|&(id, _)| id as RecordId).collect()
+                            }
+                            other => panic!("unexpected result {other:?}"),
+                        };
+                        assert_eq!(ids, rows, "{what}");
+                        assert_eq!(out.work.heap_fetches, heap_fetches as u64, "{what}");
+                        assert_eq!(
+                            out.work.filter_evals,
+                            (heap_fetches * residuals) as u64,
+                            "{what}"
+                        );
+                        assert_eq!(out.work.seq_rows, 0, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Plan execution over in-memory tables.
 //!
-//! Four observationally identical engines share the executor skeleton: the
-//! row-at-a-time interpreter (the semantic reference), the compiled columnar
-//! batch engine over id-vector selections, the compiled bitmap engine (the
-//! default), which carries candidates as
-//! [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refines 4096-row
-//! chunks over 64-bit words, and the morsel-driven parallel bitmap engine
-//! ([`parallel`]), which runs the bitmap engine's chunk work on a worker crew
-//! while preserving its results, work profile and simulated time bit for bit.
+//! Two observationally identical engines share the executor skeleton and one
+//! selection type, the [`SelectionBitmap`](crate::bitmap::SelectionBitmap):
+//! the row-at-a-time interpreter (the semantic reference, and the path for
+//! predicates that cannot compile; it builds index candidates from `Vec`
+//! scans, so they are checked independently) and the compiled engine (the
+//! default), which lowers predicates once per execution and refines 4096-row
+//! chunks over 64-bit words. At more than one thread the compiled engine runs its
+//! chunk work as morsels ([`parallel`]) while preserving its results, work
+//! profile and simulated time bit for bit.
 
 pub mod compiled;
 mod executor;

@@ -1,8 +1,8 @@
-//! Morsel-driven parallel execution for the compiled bitmap engine.
+//! Morsel-driven parallel execution for the compiled engine.
 //!
-//! [`ExecEngine::ParallelBitmap`](super::ExecEngine::ParallelBitmap) splits a
-//! query's record space into **chunk-aligned morsels** (multiples of the
-//! 4096-bit [`SelectionBitmap`] chunk), hands them to a small worker crew over
+//! [`ExecEngine::Compiled`](super::ExecEngine::Compiled) with `threads > 1`
+//! splits a query's record space into **chunk-aligned morsels** (multiples of
+//! the 4096-bit [`SelectionBitmap`] chunk), hands them to a small worker crew over
 //! a work-stealing claim cursor, and merges each worker's **private partial
 //! accumulators** — chunk word arrays, dense bin-count partials, per-morsel
 //! [`WorkProfile`] deltas — in deterministic morsel order.
@@ -11,11 +11,11 @@
 //!
 //! Every observable of a parallel execution — the `QueryResult` bytes, the
 //! `WorkProfile`, the simulated time derived from it, and the plan — is
-//! byte-identical to the sequential `CompiledBitmap` engine at *any* thread
-//! count. The contract holds by construction, not by tolerance:
+//! byte-identical to the sequential compiled engine at *any* thread count.
+//! The contract holds by construction, not by tolerance:
 //!
-//! * morsel boundaries coincide with the sequential pass's chunk (and
-//!   [`BATCH_ROWS`] batch) boundaries, so per-chunk charges are unchanged;
+//! * morsel boundaries coincide with the sequential pass's chunk boundaries,
+//!   so per-chunk charges are unchanged;
 //! * workers only share the claim cursor and the poison flag — every
 //!   accumulator is private until the single-threaded merge;
 //! * partials merge in morsel order (bitmap chunks concatenate via
@@ -44,10 +44,9 @@
 //! exploring dispatch, merge-order, poisoning and panic-survival schedules.
 //!
 //! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
-//! [`BATCH_ROWS`]: super::compiled::BATCH_ROWS
 
 use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
-use crate::exec::compiled::{self, BinnedAccum, CompiledPredicate, BATCH_ROWS};
+use crate::exec::compiled::{self, BinnedAccum, CompiledPredicate};
 use crate::query::BinGrid;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::timing::WorkProfile;
@@ -61,10 +60,6 @@ pub(crate) const MORSEL_ROWS: usize = CHUNK_BITS;
 
 /// Candidate chunks per bitmap-refinement (and binning / gather) morsel.
 pub(crate) const MORSEL_CHUNKS: usize = 1;
-
-/// Ids per slice/stream morsel — a multiple of [`BATCH_ROWS`] so morsel
-/// boundaries coincide with the sequential engine's batch boundaries.
-pub(crate) const MORSEL_IDS: usize = 4 * BATCH_ROWS;
 
 /// A morsel's outcome: the computed value, or the panic payload caught while
 /// computing it.
@@ -264,14 +259,19 @@ fn range_morsel(rows: &std::ops::Range<RecordId>, m: usize) -> std::ops::Range<R
 
 /// Parallel [`compiled::qualify_range_bitmap`]: each morsel runs the
 /// sequential chunk loop over its chunk-aligned sub-range into a private
-/// bitmap + `WorkProfile`, merged in morsel order.
+/// bitmap + `WorkProfile`, merged in morsel order. With one thread it is the
+/// sequential loop, its result pre-sized to `chunk_capacity` chunks.
 pub(crate) fn qualify_range_bitmap_par(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
     threads: usize,
+    chunk_capacity: usize,
     work: &mut WorkProfile,
     per_batch_rows: fn(&mut WorkProfile, u64),
 ) -> SelectionBitmap {
+    if threads <= 1 {
+        return compiled::qualify_range_bitmap(preds, rows, chunk_capacity, work, per_batch_rows);
+    }
     let total = range_morsel_count(&rows);
     let parts = run_morsels(total, threads, |m| {
         let mut w = WorkProfile::default();
@@ -295,13 +295,19 @@ pub(crate) fn qualify_range_bitmap_par(
 /// Parallel [`compiled::qualify_bitmap`]: morsels are groups of candidate
 /// chunk positions; each chunk is refined independently, so concatenating the
 /// per-morsel results in position order is identical to one sequential pass.
+/// With one thread it is that pass, its result pre-sized to `chunk_capacity`
+/// chunks.
 pub(crate) fn qualify_bitmap_par(
     preds: &[CompiledPredicate<'_>],
     candidates: &SelectionBitmap,
     threads: usize,
+    chunk_capacity: usize,
     work: &mut WorkProfile,
     per_batch_rows: fn(&mut WorkProfile, u64),
 ) -> SelectionBitmap {
+    if threads <= 1 {
+        return compiled::qualify_bitmap(preds, candidates, chunk_capacity, work, per_batch_rows);
+    }
     let chunks = candidates.chunk_count();
     let total = chunks.div_ceil(MORSEL_CHUNKS);
     let parts = run_morsels(total, threads, |m| {
@@ -326,35 +332,34 @@ pub(crate) fn qualify_bitmap_par(
     out
 }
 
-/// Parallel [`compiled::qualify_slice`]: morsels are [`MORSEL_IDS`]-sized
-/// sub-slices, so each morsel's internal [`BATCH_ROWS`] batches coincide with
-/// the sequential pass's batch boundaries.
-pub(crate) fn qualify_slice_par(
+/// The row-at-a-time capped loop: visits `rows` in order, charging
+/// `row_charge` and the predicate evaluations per row, and appends matches to
+/// `out` until it holds `cap` ids, so rows past the cap stay untouched exactly
+/// like the interpreter.
+fn capped_loop(
     preds: &[CompiledPredicate<'_>],
-    rids: &[RecordId],
-    threads: usize,
-    qualifying: &mut Vec<RecordId>,
+    rows: impl Iterator<Item = RecordId>,
+    cap: usize,
+    row_charge: fn(&mut WorkProfile),
     work: &mut WorkProfile,
-    per_batch_rows: fn(&mut WorkProfile, u64),
+    out: &mut Vec<RecordId>,
 ) {
-    let total = rids.len().div_ceil(MORSEL_IDS);
-    let parts = run_morsels(total, threads, |m| {
-        let lo = m * MORSEL_IDS;
-        let hi = rids.len().min(lo + MORSEL_IDS);
-        let mut w = WorkProfile::default();
-        let mut ids = Vec::new();
-        compiled::qualify_slice(preds, &rids[lo..hi], &mut ids, &mut w, per_batch_rows);
-        (ids, w)
-    });
-    for (ids, w) in parts {
-        work.add(&w);
-        qualifying.extend_from_slice(&ids);
+    for rid in rows {
+        row_charge(work);
+        if compiled::eval_row(preds, rid, work) {
+            out.push(rid);
+            if out.len() >= cap {
+                return;
+            }
+        }
     }
 }
 
-/// Speculative parallel execution of a row-capped scan. Each morsel runs the
-/// row-at-a-time capped loop as if it owned the whole cap; the in-order merge
-/// then reproduces the sequential stop point exactly:
+/// Row-capped qualification of a candidate bitmap: the first `cap`
+/// qualifying ids, ascending. With one thread this is the sequential
+/// [`capped_loop`]. Otherwise it runs speculatively over chunk-position
+/// morsels: each morsel runs the capped loop as if it owned the whole cap, and
+/// the in-order merge reproduces the sequential stop point exactly:
 ///
 /// * a morsel that found fewer matches than remain under the cap evaluated
 ///   every one of its rows — exactly what the sequential pass would have done
@@ -366,102 +371,7 @@ pub(crate) fn qualify_slice_par(
 /// * morsels past the cut are discarded — their speculative work touched only
 ///   private accumulators.
 ///
-/// `rows_of(m)` yields morsel `m`'s candidate rows in scan order; `row_charge`
-/// is the per-row-visited charge (`seq_rows` or `heap_fetches`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qualify_capped_par<I, F>(
-    preds: &[CompiledPredicate<'_>],
-    total: usize,
-    rows_of: F,
-    cap: usize,
-    row_charge: fn(&mut WorkProfile),
-    threads: usize,
-    work: &mut WorkProfile,
-    qualifying: &mut Vec<RecordId>,
-) where
-    I: Iterator<Item = RecordId>,
-    F: Fn(usize) -> I + Sync,
-{
-    struct Part {
-        ids: Vec<RecordId>,
-        work: WorkProfile,
-    }
-    let parts = run_morsels(total, threads, |m| {
-        let mut w = WorkProfile::default();
-        let mut ids = Vec::new();
-        for rid in rows_of(m) {
-            row_charge(&mut w);
-            if compiled::eval_row(preds, rid, &mut w) {
-                ids.push(rid);
-                if ids.len() >= cap {
-                    break;
-                }
-            }
-        }
-        Part { ids, work: w }
-    });
-    let mut remaining = cap;
-    for (m, part) in parts.into_iter().enumerate() {
-        if part.ids.len() < remaining {
-            // Fewer matches than the remaining cap: the morsel evaluated all
-            // its rows, exactly as the sequential pass would have.
-            remaining -= part.ids.len();
-            work.add(&part.work);
-            qualifying.extend_from_slice(&part.ids);
-            continue;
-        }
-        if remaining == cap {
-            // The speculative run used this very cap and stopped at the
-            // cap-th match — its charges are the sequential ones.
-            work.add(&part.work);
-            qualifying.extend_from_slice(&part.ids);
-            return;
-        }
-        // The crossing morsel: it speculated past where the sequential scan
-        // stops. Re-run it against the true remaining cap; the morsel's rows
-        // and the predicate evaluations are deterministic, so this replay is
-        // the sequential execution of the cut (`part.ids.len() >= remaining`
-        // guarantees the replay fills the cap before the rows run out).
-        for rid in rows_of(m) {
-            row_charge(work);
-            if compiled::eval_row(preds, rid, work) {
-                qualifying.push(rid);
-                remaining -= 1;
-                if remaining == 0 {
-                    return;
-                }
-            }
-        }
-        return;
-    }
-}
-
-/// [`qualify_capped_par`] over a contiguous row range, split at the same
-/// [`MORSEL_ROWS`]-aligned boundaries as the uncapped range scan.
-pub(crate) fn qualify_capped_range_par(
-    preds: &[CompiledPredicate<'_>],
-    rows: std::ops::Range<RecordId>,
-    cap: usize,
-    row_charge: fn(&mut WorkProfile),
-    threads: usize,
-    work: &mut WorkProfile,
-    qualifying: &mut Vec<RecordId>,
-) {
-    let total = range_morsel_count(&rows);
-    qualify_capped_par(
-        preds,
-        total,
-        |m| range_morsel(&rows, m),
-        cap,
-        row_charge,
-        threads,
-        work,
-        qualifying,
-    );
-}
-
-/// [`qualify_capped_par`] over a candidate bitmap (chunk-position morsels, so
-/// rows enumerate ascending within and across morsels).
+/// `row_charge` is the per-row-visited charge (`seq_rows` or `heap_fetches`).
 pub(crate) fn qualify_capped_bitmap_par(
     preds: &[CompiledPredicate<'_>],
     candidates: &SelectionBitmap,
@@ -469,50 +379,49 @@ pub(crate) fn qualify_capped_bitmap_par(
     row_charge: fn(&mut WorkProfile),
     threads: usize,
     work: &mut WorkProfile,
-    qualifying: &mut Vec<RecordId>,
-) {
+) -> Vec<RecordId> {
+    let mut out = Vec::new();
+    if threads <= 1 {
+        capped_loop(preds, candidates.iter(), cap, row_charge, work, &mut out);
+        return out;
+    }
     let chunks = candidates.chunk_count();
-    let total = chunks.div_ceil(MORSEL_CHUNKS);
-    qualify_capped_par(
-        preds,
-        total,
-        |m| {
-            let lo = m * MORSEL_CHUNKS;
-            candidates.iter_chunks(lo..chunks.min(lo + MORSEL_CHUNKS))
-        },
-        cap,
-        row_charge,
-        threads,
-        work,
-        qualifying,
-    );
-}
-
-/// [`qualify_capped_par`] over an id slice ([`MORSEL_IDS`]-sized morsels; the
-/// capped loop is row-at-a-time, so any split point preserves charges).
-pub(crate) fn qualify_capped_slice_par(
-    preds: &[CompiledPredicate<'_>],
-    rids: &[RecordId],
-    cap: usize,
-    row_charge: fn(&mut WorkProfile),
-    threads: usize,
-    work: &mut WorkProfile,
-    qualifying: &mut Vec<RecordId>,
-) {
-    let total = rids.len().div_ceil(MORSEL_IDS);
-    qualify_capped_par(
-        preds,
-        total,
-        |m| {
-            let lo = m * MORSEL_IDS;
-            rids[lo..rids.len().min(lo + MORSEL_IDS)].iter().copied()
-        },
-        cap,
-        row_charge,
-        threads,
-        work,
-        qualifying,
-    );
+    let rows_of = |m: usize| {
+        let lo = m * MORSEL_CHUNKS;
+        candidates.iter_chunks(lo..chunks.min(lo + MORSEL_CHUNKS))
+    };
+    let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
+        let mut w = WorkProfile::default();
+        let mut ids = Vec::new();
+        capped_loop(preds, rows_of(m), cap, row_charge, &mut w, &mut ids);
+        (ids, w)
+    });
+    for (m, (ids, w)) in parts.into_iter().enumerate() {
+        let remaining = cap - out.len();
+        if ids.len() < remaining {
+            // Fewer matches than the remaining cap: the morsel evaluated all
+            // its rows, exactly as the sequential pass would have.
+            work.add(&w);
+            out.extend_from_slice(&ids);
+            continue;
+        }
+        if remaining == cap {
+            // The speculative run used this very cap and stopped at the
+            // cap-th match — its charges are the sequential ones.
+            work.add(&w);
+            out.extend_from_slice(&ids);
+        } else {
+            // The crossing morsel: it speculated past where the sequential
+            // scan stops. Re-run it against the true remaining cap; the
+            // morsel's rows and the predicate evaluations are deterministic,
+            // so this replay is the sequential execution of the cut
+            // (`ids.len() >= remaining` guarantees the replay fills the cap
+            // before the rows run out).
+            capped_loop(preds, rows_of(m), cap, row_charge, work, &mut out);
+        }
+        break;
+    }
+    out
 }
 
 /// Parallel dense binned-count accumulation over a qualified bitmap: workers
@@ -563,24 +472,30 @@ pub(crate) fn bin_counts_par(
 /// `(id, point)` pairs for chunk-position morsels of the qualified bitmap
 /// into private vectors, concatenated in morsel order. `ids` is the bound id
 /// column (`None` falls back to the record id, mirroring the interpreter's
-/// per-row `unwrap_or`).
+/// per-row `unwrap_or`). One thread gathers sequentially into one vector.
 pub(crate) fn gather_points_par(
     qualified: &SelectionBitmap,
     ids: Option<&[i64]>,
     geo: &[GeoPoint],
     threads: usize,
 ) -> Vec<(i64, GeoPoint)> {
+    let point = |rid: RecordId| {
+        (
+            ids.map_or(rid as i64, |s| s[rid as usize]),
+            geo[rid as usize],
+        )
+    };
+    if threads <= 1 {
+        let mut points = Vec::with_capacity(qualified.len());
+        points.extend(qualified.iter().map(point));
+        return points;
+    }
     let chunks = qualified.chunk_count();
     let total = chunks.div_ceil(MORSEL_CHUNKS);
     let parts = run_morsels(total, threads, |m| {
         let lo = m * MORSEL_CHUNKS;
         let hi = chunks.min(lo + MORSEL_CHUNKS);
-        let mut out = Vec::new();
-        for rid in qualified.iter_chunks(lo..hi) {
-            let id = ids.map_or(rid as i64, |s| s[rid as usize]);
-            out.push((id, geo[rid as usize]));
-        }
-        out
+        qualified.iter_chunks(lo..hi).map(point).collect::<Vec<_>>()
     });
     let mut points = Vec::with_capacity(qualified.len());
     for p in parts {

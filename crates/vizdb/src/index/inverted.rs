@@ -6,7 +6,7 @@
 //! ([`InvertedIndex::lookup_shared`], the bitmap index scans), borrowed
 //! ([`InvertedIndex::postings`], the compiled engine's keyword residuals,
 //! which AND candidate chunks with the token's chunks) or copied out as ids
-//! ([`InvertedIndex::lookup`], the id-vector paths).
+//! ([`InvertedIndex::lookup`], the reference the index tests check against).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -11,7 +11,9 @@ pub use btree::BPlusTree;
 pub use inverted::InvertedIndex;
 pub use rtree::RTree;
 
-use crate::types::RecordId;
+use std::sync::Arc;
+
+use crate::bitmap::SelectionBitmap;
 
 /// Statistics reported by an index scan, consumed by the simulated-time cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -36,102 +38,29 @@ pub trait SecondaryIndex {
     fn memory_bytes(&self) -> usize;
 }
 
-/// Intersects several ascending-sorted record-id lists. The result is sorted.
+/// Intersects the candidate sets of several index scans: word-wise AND,
+/// smallest set first, stopping early once the running result is empty. One
+/// set is returned as is, shared; no set yields the empty set.
 ///
-/// This mirrors the "intersect the record lists" strategy a database uses when a query
-/// hint asks it to combine multiple single-attribute indexes.
-pub fn intersect_sorted(lists: &[Vec<RecordId>]) -> Vec<RecordId> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].clone(),
-        _ => {
-            // Start from the smallest list to minimise work.
-            let mut order: Vec<usize> = (0..lists.len()).collect();
-            order.sort_by_key(|&i| lists[i].len());
-            let mut acc = lists[order[0]].clone();
-            for &i in &order[1..] {
-                let other = &lists[i];
-                acc = intersect_two(&acc, other);
-                if acc.is_empty() {
-                    break;
-                }
-            }
-            acc
-        }
-    }
-}
-
-/// Adaptive intersection of several ascending-sorted record-id lists: gallops
-/// each element of the (progressively shrinking) smallest list through the
-/// larger ones with exponential search instead of merging every pair
-/// element-by-element. The result is identical to [`intersect_sorted`] but the
-/// cost is `O(n_small · log(n_big / n_small))` per list — the regime index
-/// plans actually hit, where one highly selective posting list meets a huge
-/// range scan.
-pub fn intersect_adaptive(lists: &[Vec<RecordId>]) -> Vec<RecordId> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].clone(),
-        _ => {
-            let mut order: Vec<usize> = (0..lists.len()).collect();
-            order.sort_by_key(|&i| lists[i].len());
-            let mut acc = lists[order[0]].clone();
-            for &i in &order[1..] {
-                if acc.is_empty() {
-                    break;
-                }
-                acc = gallop_intersect(&acc, &lists[i]);
-            }
-            acc
-        }
-    }
-}
-
-/// Intersects a small sorted list into a large one by galloping: for each probe
-/// the search window doubles from where the previous probe landed, then a binary
-/// search pins the exact position inside the window.
-fn gallop_intersect(small: &[RecordId], large: &[RecordId]) -> Vec<RecordId> {
-    let mut out = Vec::with_capacity(small.len());
-    let mut cursor = 0usize;
-    for &v in small {
-        cursor = gallop_to(large, cursor, v);
-        if cursor >= large.len() {
+/// This mirrors the "intersect the record lists" strategy a database uses when
+/// a query hint asks it to combine multiple single-attribute indexes; the work
+/// it is charged is [`intersect_skip_charge`] over the sets' lengths.
+pub fn intersect_bitmaps(mut sets: Vec<Arc<SelectionBitmap>>) -> Arc<SelectionBitmap> {
+    sets.sort_by_key(|set| set.len());
+    let mut sets = sets.into_iter();
+    let mut acc = sets.next().unwrap_or_default();
+    for set in sets {
+        if acc.is_empty() {
             break;
         }
-        if large[cursor] == v {
-            out.push(v);
-            cursor += 1;
-        }
+        acc = Arc::new(acc.and(&set));
     }
-    out
-}
-
-/// The first index `>= from` with `large[idx] >= v` (or `large.len()`), found by
-/// doubling the step from `from` and binary-searching the final window.
-fn gallop_to(large: &[RecordId], from: usize, v: RecordId) -> usize {
-    if from >= large.len() || large[from] >= v {
-        return from;
-    }
-    // Invariant: large[prev] < v; the answer lies in (prev, hi].
-    let mut step = 1usize;
-    let mut prev = from;
-    loop {
-        let next = match from.checked_add(step) {
-            Some(n) if n < large.len() => n,
-            _ => break,
-        };
-        if large[next] >= v {
-            break;
-        }
-        prev = next;
-        step <<= 1;
-    }
-    let hi = from.saturating_add(step).min(large.len());
-    prev + 1 + large[prev + 1..hi].partition_point(|&x| x < v)
+    acc
 }
 
 /// Work charged for intersecting id lists of the given lengths under the
-/// skip/gallop model the executor actually runs: the smallest list `s` drives,
+/// skip/gallop model of a database intersecting sorted record lists (the
+/// executor runs [`intersect_bitmaps`]): the smallest list `s` drives,
 /// and every other list of length `n` costs `s · (1 + ⌊log2(n/s + 1)⌋)` —
 /// one block decode plus a logarithmic skip probe per driving entry. This is
 /// the *single* formula both the executor (actual charge) and the optimizer's
@@ -172,48 +101,47 @@ pub fn intersect_skip_charge_est(lens: &[f64]) -> f64 {
     intersect_skip_charge(&ints) as f64
 }
 
-fn intersect_two(a: &[RecordId], b: &[RecordId]) -> Vec<RecordId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::RecordId;
+
+    /// [`intersect_bitmaps`] over ascending id lists, as an id list.
+    fn intersect(lists: &[Vec<RecordId>]) -> Vec<RecordId> {
+        let sets = lists
+            .iter()
+            .map(|l| Arc::new(SelectionBitmap::from_sorted(l)))
+            .collect();
+        intersect_bitmaps(sets).to_vec()
+    }
 
     #[test]
     fn intersect_empty_input() {
-        assert!(intersect_sorted(&[]).is_empty());
+        assert!(intersect(&[]).is_empty());
     }
 
     #[test]
     fn intersect_single_list_is_identity() {
         let lists = vec![vec![1, 5, 9]];
-        assert_eq!(intersect_sorted(&lists), vec![1, 5, 9]);
+        assert_eq!(intersect(&lists), vec![1, 5, 9]);
+        // One set is shared, not copied.
+        let set = Arc::new(SelectionBitmap::from_sorted(&[1, 5, 9]));
+        assert!(Arc::ptr_eq(
+            &intersect_bitmaps(vec![Arc::clone(&set)]),
+            &set
+        ));
     }
 
     #[test]
     fn intersect_two_lists() {
         let lists = vec![vec![1, 2, 3, 7, 9], vec![2, 3, 4, 9, 11]];
-        assert_eq!(intersect_sorted(&lists), vec![2, 3, 9]);
+        assert_eq!(intersect(&lists), vec![2, 3, 9]);
     }
 
     #[test]
     fn intersect_three_lists_with_empty_result() {
         let lists = vec![vec![1, 2, 3], vec![2, 3, 4], vec![5, 6]];
-        assert!(intersect_sorted(&lists).is_empty());
+        assert!(intersect(&lists).is_empty());
     }
 
     #[test]
@@ -221,8 +149,8 @@ mod tests {
         let a = vec![vec![1, 4, 8, 10], vec![4, 10, 20], vec![0, 4, 10, 30]];
         let mut b = a.clone();
         b.reverse();
-        assert_eq!(intersect_sorted(&a), intersect_sorted(&b));
-        assert_eq!(intersect_sorted(&a), vec![4, 10]);
+        assert_eq!(intersect(&a), intersect(&b));
+        assert_eq!(intersect(&a), vec![4, 10]);
     }
 
     #[cfg(test)]
@@ -231,6 +159,15 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeSet;
 
+        /// Set-semantics reference: ids present in every list.
+        fn reference(sets: &[BTreeSet<u32>]) -> Vec<u32> {
+            let mut acc = sets[0].clone();
+            for set in &sets[1..] {
+                acc = acc.intersection(set).copied().collect();
+            }
+            acc.into_iter().collect()
+        }
+
         proptest! {
             #[test]
             fn intersection_matches_set_semantics(
@@ -238,33 +175,25 @@ mod tests {
                 b in proptest::collection::btree_set(0u32..200, 0..60),
                 c in proptest::collection::btree_set(0u32..200, 0..60),
             ) {
-                let lists = vec![
-                    a.iter().copied().collect::<Vec<_>>(),
-                    b.iter().copied().collect::<Vec<_>>(),
-                    c.iter().copied().collect::<Vec<_>>(),
-                ];
-                let expected: Vec<u32> = a
-                    .intersection(&b)
-                    .copied()
-                    .collect::<BTreeSet<_>>()
-                    .intersection(&c)
-                    .copied()
-                    .collect();
-                prop_assert_eq!(intersect_sorted(&lists), expected);
+                let sets = [a, b, c];
+                let lists: Vec<Vec<u32>> =
+                    sets.iter().map(|s| s.iter().copied().collect()).collect();
+                prop_assert_eq!(intersect(&lists), reference(&sets));
             }
 
+            /// Sparse sets against dense, multi-chunk ones: array, bitset and
+            /// run containers meet in the AND.
             #[test]
             fn adaptive_intersection_matches_merge(
-                a in proptest::collection::btree_set(0u32..500, 0..80),
-                b in proptest::collection::btree_set(0u32..500, 0..300),
-                c in proptest::collection::btree_set(0u32..500, 0..300),
+                a in proptest::collection::btree_set(0u32..20_000, 0..80),
+                b in proptest::collection::btree_set(0u32..20_000, 0..3000),
+                lo in 0u32..10_000,
+                len in 0u32..10_000,
             ) {
-                let lists = vec![
-                    a.iter().copied().collect::<Vec<_>>(),
-                    b.iter().copied().collect::<Vec<_>>(),
-                    c.iter().copied().collect::<Vec<_>>(),
-                ];
-                prop_assert_eq!(intersect_adaptive(&lists), intersect_sorted(&lists));
+                let sets = [a, b, (lo..lo + len).collect::<BTreeSet<u32>>()];
+                let lists: Vec<Vec<u32>> =
+                    sets.iter().map(|s| s.iter().copied().collect()).collect();
+                prop_assert_eq!(intersect(&lists), reference(&sets));
             }
         }
     }
@@ -296,17 +225,14 @@ mod tests {
 
     #[test]
     fn adaptive_handles_trivial_shapes() {
-        assert!(intersect_adaptive(&[]).is_empty());
-        assert_eq!(intersect_adaptive(&[vec![3, 9]]), vec![3, 9]);
-        assert!(intersect_adaptive(&[vec![1, 2], vec![]]).is_empty());
+        assert!(intersect(&[]).is_empty());
+        assert_eq!(intersect(&[vec![3, 9]]), vec![3, 9]);
+        assert!(intersect(&[vec![1, 2], vec![]]).is_empty());
         assert_eq!(
-            intersect_adaptive(&[vec![5, 900], (0..1000u32).collect()]),
+            intersect(&[vec![5, 900], (0..1000u32).collect()]),
             vec![5, 900]
         );
-        // A probe past the end of the large list must terminate cleanly.
-        assert_eq!(
-            intersect_adaptive(&[vec![5, 2000], (0..1000u32).collect()]),
-            vec![5]
-        );
+        // An id past the end of the other set is dropped, not matched.
+        assert_eq!(intersect(&[vec![5, 2000], (0..1000u32).collect()]), vec![5]);
     }
 }

@@ -1713,6 +1713,39 @@ mod tests {
         b.build()
     }
 
+    /// A sampling fraction outside `1..=100` fails with `InvalidQuery` from
+    /// every catalog entry point, in debug and release builds alike, before
+    /// any state changes.
+    #[test]
+    fn out_of_range_sample_fraction_is_a_typed_error() {
+        let table = build_table(200);
+        let mut db = single_db(&table);
+        let shared = crate::backend::SharedBackend::new(single_db(&table));
+        let mut b = ShardedBackend::builder(DbConfig::default(), 2);
+        b.register_table(&table).unwrap();
+        b.build_sample("events", 20).unwrap();
+        for pct in [0, 101, u32::MAX] {
+            let generation = db.generation();
+            let err = db.build_sample("events", pct).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "{pct}: {err:?}");
+            assert_eq!(db.generation(), generation, "{pct}");
+            assert_eq!(db.sample_fractions("events").unwrap(), vec![20]);
+            let err = shared.build_sample("events", pct).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "{pct}: {err:?}");
+            shared.with_db(|d| assert_eq!(d.sample_fractions("events").unwrap(), vec![20]));
+            let err = b.build_sample("events", pct).unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "{pct}: {err:?}");
+            assert_eq!(b.sample_fractions["events"], vec![20]);
+            for shard in &b.shards {
+                assert_eq!(shard.sample_fractions("events").unwrap(), vec![20]);
+            }
+        }
+        // Both bounds of the range stay accepted.
+        db.build_sample("events", 1).unwrap();
+        db.build_sample("events", 100).unwrap();
+        assert_eq!(db.sample_fractions("events").unwrap(), vec![1, 20, 100]);
+    }
+
     /// The legacy 1-D equal-width longitude layout, for tests pinning
     /// stripe-specific routing (the 2-D default splits a longitude stripe
     /// across latitude halves).

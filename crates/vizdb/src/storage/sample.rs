@@ -11,7 +11,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::error::{Error, Result};
 use crate::types::RecordId;
+
+/// Rejects a sampling percentage outside `1..=100` — the range
+/// [`SampleTable::build`] asserts — with [`Error::InvalidQuery`], so catalog
+/// calls can check it before changing any state.
+pub(crate) fn check_fraction(fraction_pct: u32) -> Result<()> {
+    if (1..=100).contains(&fraction_pct) {
+        Ok(())
+    } else {
+        Err(Error::InvalidQuery(format!(
+            "sample fraction must be in 1..=100, got {fraction_pct}"
+        )))
+    }
+}
 
 /// A uniform random sample of a base table, identified by its sampling percentage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -26,7 +40,8 @@ impl SampleTable {
     /// `base_rows` rows. Sampling is deterministic given `seed`.
     ///
     /// # Panics
-    /// Panics if `fraction_pct` is 0 or greater than 100.
+    /// Panics if `fraction_pct` is 0 or greater than 100; callers taking the
+    /// fraction from outside check it with `check_fraction` first.
     pub fn build(base_table: &str, base_rows: usize, fraction_pct: u32, seed: u64) -> Self {
         assert!(
             (1..=100).contains(&fraction_pct),

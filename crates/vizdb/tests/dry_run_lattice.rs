@@ -635,9 +635,8 @@ fn invalid_grids_fail_identically_and_keep_breakers_closed() {
                 .unwrap_err();
             assert!(matches!(expected, Error::InvalidQuery(_)), "{expected:?}");
             for engine in [
-                ExecEngine::CompiledIdVec,
-                ExecEngine::CompiledBitmap,
-                ExecEngine::ParallelBitmap { threads: 3 },
+                ExecEngine::Compiled { threads: 1 },
+                ExecEngine::Compiled { threads: 3 },
             ] {
                 assert_eq!(
                     db.run_with_engine(&query, &ro, engine).unwrap_err(),
@@ -731,10 +730,9 @@ fn keyword_residuals_match_the_interpreter() {
                     residual_plans +=
                         usize::from(!plan.index_preds.is_empty() && plan.filter_preds.contains(&2));
                     for engine in [
-                        ExecEngine::CompiledIdVec,
-                        ExecEngine::CompiledBitmap,
-                        ExecEngine::ParallelBitmap { threads: 2 },
-                        ExecEngine::ParallelBitmap { threads: 4 },
+                        ExecEngine::Compiled { threads: 1 },
+                        ExecEngine::Compiled { threads: 2 },
+                        ExecEngine::Compiled { threads: 4 },
                     ] {
                         db.clear_caches();
                         let got = db.run_with_engine(query, &ro, engine).unwrap();

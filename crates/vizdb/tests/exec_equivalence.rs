@@ -1,10 +1,10 @@
-//! Property test: the compiled engines (id-vector batches and bitmap chunks)
-//! are observationally identical to the row-at-a-time interpreter. For random
+//! Property test: the compiled engine, sequential and morsel-parallel, is
+//! observationally identical to the row-at-a-time interpreter. For random
 //! tables, predicates, hint-forced plans, approximation rules, grids and
-//! limits, all three engines must produce the same `QueryResult` bytes, the
-//! same `WorkProfile` (and therefore the same simulated execution time) and
-//! the same plan. This pins the core invariant of the execution-engine
-//! rewrites: compilation and bitmap selections are speed-ups, never a semantic
+//! limits, every engine must produce the same `QueryResult` bytes, the same
+//! `WorkProfile` (and therefore the same simulated execution time) and the
+//! same plan. This pins the core invariant of the execution-engine rewrites:
+//! compilation, bitmap selections and threads are speed-ups, never a semantic
 //! change.
 
 use proptest::prelude::*;
@@ -64,11 +64,15 @@ fn register_users(db: &mut Database, n: usize) {
     db.build_all_indexes("users").unwrap();
 }
 
-/// Runs `query` under `ro` through all three engines and asserts full
-/// observational equality against the interpreter reference.
+/// Runs `query` under `ro` through the compiled engine at one and at four
+/// threads and asserts full observational equality against the interpreter
+/// reference.
 fn assert_engines_agree(db: &Database, query: &Query, ro: &RewriteOption) {
     let interpreted = db.run_with_engine(query, ro, ExecEngine::Interpreted);
-    for engine in [ExecEngine::CompiledIdVec, ExecEngine::CompiledBitmap] {
+    for engine in [
+        ExecEngine::Compiled { threads: 1 },
+        ExecEngine::Compiled { threads: 4 },
+    ] {
         // Drop the time cache so each compiled run computes its own time
         // rather than reporting the interpreter's canonical cached value — the
         // time assertion below must be able to fail.

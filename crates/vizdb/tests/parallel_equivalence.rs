@@ -1,5 +1,5 @@
-//! Property test: the morsel-driven parallel bitmap engine is byte-identical
-//! to the sequential `CompiledBitmap` engine at every thread count. For random
+//! Property test: the morsel-driven parallel compiled engine is byte-identical
+//! to the sequential compiled engine at every thread count. For random
 //! tables, plan shapes, outputs, approximation rules, joins and row caps, a
 //! run at 1, 2, 4 and 8 threads must produce the same `QueryResult` bytes, the
 //! same exact `WorkProfile` (and therefore the same simulated execution time)
@@ -77,14 +77,14 @@ fn build_db(rows: usize, keyword_every: usize, users: Option<usize>) -> Database
 }
 
 /// Runs `query` at every thread count and asserts full observational equality
-/// against the sequential bitmap engine (or identical errors).
+/// against the sequential compiled engine (or identical errors).
 fn assert_parallel_matches(db: &Database, query: &Query, ro: &RewriteOption) {
-    let sequential = db.run_with_engine(query, ro, ExecEngine::CompiledBitmap);
+    let sequential = db.run_with_engine(query, ro, ExecEngine::Compiled { threads: 1 });
     for threads in THREADS {
         // Drop the time cache so each run computes its own simulated time —
         // the time assertion below must be able to fail.
         db.clear_caches();
-        let parallel = db.run_with_engine(query, ro, ExecEngine::ParallelBitmap { threads });
+        let parallel = db.run_with_engine(query, ro, ExecEngine::Compiled { threads });
         match (&sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(
@@ -180,8 +180,8 @@ proptest! {
         assert_parallel_matches(&db, &query, &ro);
     }
 
-    /// Joins keep the compiled dimension-predicate path and the id-vector
-    /// representation; the parallel engine must not perturb either.
+    /// Joins keep the compiled dimension-predicate path and the row-at-a-time
+    /// probe; the parallel engine must not perturb either.
     #[test]
     fn parallel_matches_sequential_on_joins(
         rows in 30usize..200,
@@ -269,7 +269,7 @@ fn empty_selections_are_bit_exact() {
 }
 
 /// An uncompilable residual routes the parallel engine to the same sequential
-/// interpreter fallback as the bitmap engine — identical errors included.
+/// interpreter fallback as one thread — identical errors included.
 #[test]
 fn uncompilable_predicates_fall_back_identically() {
     let db = build_db(100, 2, None);
@@ -279,7 +279,7 @@ fn uncompilable_predicates_fall_back_identically() {
     assert_parallel_matches(&db, &bad, &RewriteOption::original());
 }
 
-/// `DbConfig::exec_threads` selects the parallel engine for `Database::run`
+/// `DbConfig::exec_threads` sets the compiled engine's threads for `Database::run`
 /// and propagates through `ShardedBackend` to every shard and mirror: a
 /// 4-thread sharded deployment must answer exactly like a sequential
 /// single-node reference.
